@@ -18,8 +18,7 @@ RPR020 scheduler-surface     conformance: registered schedulers implement
 RPR021 tracer-pairing        conformance: overridden state-mutating hooks
                              keep emitting their paired obs event
 RPR022 index-surface         conformance: ``_index_spec`` overrides are
-                             paired with a concrete ``_select_indexed``;
-                             ``dequeue`` overrides with ``dequeue_batch``
+                             paired with a concrete ``_select_indexed``
 RPR030 runtime-assert        sim-purity: no ``assert`` for runtime
                              invariants (stripped under ``python -O``)
 RPR090 parse-error           file could not be parsed (engine built-in)

@@ -36,11 +36,11 @@ class MSF2QScheduler(WF2QScheduler):
         return self._min_start(self._backlogged.values())
 
     def _index_spec(self) -> Optional[Dict[str, Any]]:
-        # WF2Q eligibility slot, but the fallback orders by start tag.
-        return {"start": True, "staggers": (0.0,)}
+        # WF2Q's eligibility gate, but the fallback orders by start tag.
+        return {"start": True, "eligible": True}
 
     def _fallback_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
         index = self._index
-        if index is None:  # dequeue routes here only in indexed mode
+        if index is None:  # built at construction by _index_spec
             raise SchedulerError("indexed selection invoked without an index")
         return index.min_start()

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import TYPE_CHECKING, ClassVar, Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, ClassVar, Deque, Dict, Optional
 
 from ..errors import ConfigurationError, SchedulerError
 from ..units import Cost, Rate, SimTime, VirtualTime, Weight
@@ -202,28 +202,6 @@ class Scheduler(ABC):
     @abstractmethod
     def dequeue(self, thread_id: int, now: SimTime) -> Optional[Request]:
         """Pick the next request for worker ``thread_id``, or ``None``."""
-
-    def dequeue_batch(
-        self, thread_ids: Sequence[int], now: SimTime
-    ) -> List[Request]:
-        """Dispatch one request per thread in ``thread_ids``, in order,
-        stopping early when the backlog drains.
-
-        Semantically identical to calling :meth:`dequeue` once per
-        thread id at the same ``now`` and collecting the non-``None``
-        results (the batch property tests pin this request-for-request,
-        including tracer event streams).  Subclasses may override to
-        amortize per-dispatch bookkeeping across the batch --
-        :class:`~repro.core.vt_base.VirtualTimeScheduler` does -- but
-        must preserve the sequential semantics exactly.
-        """
-        batch: List[Request] = []
-        for thread_id in thread_ids:
-            request = self.dequeue(thread_id, now)
-            if request is None:
-                break
-            batch.append(request)
-        return batch
 
     def refresh(self, request: Request, usage: Cost, now: SimTime) -> None:
         """Report interim resource usage of a running request (default: ignore)."""

@@ -29,28 +29,18 @@ with *lazy invalidation* and *deferred maintenance*:
 * when a tenant leaves the backlog the scheduler calls :meth:`drop`,
   which only bumps the version -- O(1), no heap surgery.
 
-Eligibility-gated policies (WF2Q, MSF2Q, 2DFQ) use pending/ready heap
-pairs per *stagger offset*, organised as a **gate chain**: because the
-stagger offsets are sorted ascending, the staggered start tag ``e_j(f)
-= S_f - staggers[j] * l_head`` is non-increasing in the slot index, so
-eligibility is *nested* -- a tenant eligible on slot ``i`` is eligible
-on every slot ``j >= i``.  A touched tenant is therefore pushed into
-the *top* pending heap only (one push, not one per slot); when a query
-for slot ``i`` arrives, gates ``m-1 .. i`` are drained in descending
-order with the query threshold, migrating entries into ``ready[j]``
-(keyed by finish tag) and cascading them into ``pending[j-1]``.  Any
-entry with ``e_i <= threshold`` passes every intermediate gate (its
-keys there are ``e_j <= e_i``), so ``ready[i]`` always holds exactly
-the slot-``i`` eligibility set -- and in the common regime where a
-tenant is re-touched before virtual time reaches its lower slots, the
-cascade never runs and the per-touch cost stays at one push.  2DFQ's
-per-touch cost drops from ``n + 1`` heap pushes under the PR-1 eager
-design to ~1 amortized, which is where the churn reduction in
-``BENCH_schedulers.json`` (stale_pops / heap_pushes) comes from.
+Eligibility-gated policies (WF2Q, MSF2Q, WF2Q+) get one pending/ready
+heap pair: a touched tenant is pushed into the *pending* heap keyed by
+start tag; a query drains every pending entry whose start tag is within
+the eligibility threshold into the *ready* heap, keyed by finish tag.
+Because system virtual time never moves backwards, the threshold passed
+to :meth:`min_eligible_finish` is non-decreasing, so each entry crosses
+the gate exactly once per version.
 
-Because system virtual time never moves backwards, the eligibility
-threshold passed to :meth:`min_eligible_finish` is non-decreasing, so
-entries migrate through each gate exactly once per version.
+2DFQ has no index: its per-thread stagger ``S_f - (i/n) * l_head``
+would need one gate per thread, and the fused linear scan in
+:mod:`repro.core.twodfq` is cheaper on every shipped workload
+(DESIGN.md §15).
 
 Contract with cost estimators
 -----------------------------
@@ -61,8 +51,9 @@ key their state on ``(tenant_id, api)``; see
 :mod:`repro.estimation.base`) -- every such change site in
 :mod:`repro.core.vt_base` pairs with a :meth:`touch`, which supersedes
 the memoized snapshot.  Every estimator in this library satisfies
-that; a custom estimator whose estimates drift spontaneously must run
-with ``indexed=False``.
+that; a custom estimator whose estimates drift spontaneously needs a
+:meth:`~repro.core.vt_base.VirtualTimeScheduler.reindex_backlogged`
+call after each drift.
 
 The per-record snapshot is also a *head-estimate cache*: the estimate
 is computed once per effective touch and reused by every structure
@@ -73,30 +64,34 @@ the linear scans.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple, Union, cast
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import SchedulerError
 from ..estimation.base import CostEstimator
-from ..units import Cost, Scalar, VirtualTime
+from ..units import Cost, VirtualTime
 from .scheduler import MIN_COST, TenantState
 
 __all__ = ["SelectionIndex"]
 
 #: One lazy-invalidation heap entry.  The *prefix* is the policy's sort
-#: key -- ``(finish, estimate, seqno)`` for the finish heap, ``(start,
-#: estimate, seqno)`` for the start heap, ``(staggered start, start,
-#: finish, estimate, seqno)`` for a pending heap -- and every entry ends
-#: with the fixed ``(..., sel_version, state)`` suffix the invalidation
+#: key -- ``(finish, estimate, seqno)`` for the finish and ready heaps,
+#: ``(start, estimate, seqno)`` for the start heap, ``(start, finish,
+#: estimate, seqno)`` for the pending heap -- and every entry ends with
+#: the fixed ``(..., sel_version, state)`` suffix the invalidation
 #: machinery reads via ``entry[-2]`` / ``entry[-1]``.  Entries are plain
 #: tuples (not objects) because heapq compares them lexicographically on
 #: the hot path; ``seqno`` (unique per head request) and the version
-#: break every tie before the non-comparable ``state`` is reached.
-_HeapEntry = Tuple[Union[float, int, "TenantState"], ...]
+#: break every tie before the non-comparable ``state`` is reached.  The
+#: element type is ``Any`` so reads need no runtime ``cast``.
+_HeapEntry = Tuple[Any, ...]
 
 #: One dirty-log record: ``[state, version, snapshot]`` where
 #: ``snapshot`` is ``None`` until the first structure to sync the record
 #: memoizes ``(start, finish, estimate, seqno)``.
-_LogRecord = List[object]
+_LogRecord = List[Any]
+
+#: The memoized ``(start, finish, estimate, seqno)`` of a log record.
+_Snapshot = Tuple[VirtualTime, VirtualTime, Cost, int]
 
 #: Heaps are compacted (stale entries filtered out, then re-heapified)
 #: once they grow past ``max(_COMPACT_MIN, 2 * live_entries)``; amortized
@@ -124,12 +119,9 @@ class SelectionIndex:
     start:
         Maintain a global min-start-tag heap (SFQ selection, MSF2Q
         fallback, and the WF2Q+ virtual-time lower bound).
-    staggers:
-        One eligibility pending/ready heap pair per entry; entry ``j``
-        gates on ``S_f - staggers[j] * l_head <= threshold``.  WF2Q-style
-        policies pass ``(0.0,)``; 2DFQ passes ``(i / n for i in
-        range(n))``.  Must be sorted ascending -- the gate chain relies
-        on the nested-eligibility property that implies.
+    eligible:
+        Maintain the eligibility pending/ready heap pair behind
+        :meth:`min_eligible_finish` (WF2Q-style ``S_f <= v(now)``).
     """
 
     __slots__ = (
@@ -138,14 +130,13 @@ class SelectionIndex:
         "_limits",
         "_finish_heap",
         "_start_heap",
-        "_pending",
-        "_ready",
-        "_staggers",
+        "_pending_heap",
+        "_ready_heap",
         "_log",
         "_log_limit",
         "_cursor_finish",
         "_cursor_start",
-        "_cursor_ladder",
+        "_cursor_pending",
         "stale_pops",
         "rebuilds",
         "pushes",
@@ -157,31 +148,22 @@ class SelectionIndex:
         estimator: CostEstimator,
         finish: bool = False,
         start: bool = False,
-        staggers: Sequence[Scalar] = (),
+        eligible: bool = False,
     ) -> None:
         self._estimator = estimator
         self._heaps: List[List[_HeapEntry]] = []
         self._limits: List[int] = []
         self._finish_heap = self._new_heap() if finish else -1
         self._start_heap = self._new_heap() if start else -1
-        self._staggers: Tuple[Scalar, ...] = tuple(staggers)
-        if any(
-            a > b for a, b in zip(self._staggers, self._staggers[1:])
-        ):
-            raise SchedulerError(
-                "stagger offsets must be sorted ascending (the gate "
-                f"chain relies on nested eligibility): {self._staggers}"
-            )
-        self._pending = [self._new_heap() for _ in self._staggers]
-        self._ready = [self._new_heap() for _ in self._staggers]
+        self._pending_heap = self._new_heap() if eligible else -1
+        self._ready_heap = self._new_heap() if eligible else -1
         #: Shared dirty log of deferred touches plus one cursor per
-        #: maintained structure (the ladder counts as one structure: its
-        #: single entry point is the top pending heap).
+        #: structure fed from it (the ready heap is fed from pending).
         self._log: List[_LogRecord] = []
         self._log_limit = _LOG_COMPACT_MIN
         self._cursor_finish = 0
         self._cursor_start = 0
-        self._cursor_ladder = 0
+        self._cursor_pending = 0
         # Churn counters (always on): superseded entries discarded at a
         # heap top, compaction rebuilds, entries pushed, and touches
         # received.  pushes/touches is the coalescing ratio the perf
@@ -226,16 +208,14 @@ class SelectionIndex:
         """Invalidate every entry of a tenant that left the backlog."""
         state.sel_version += 1
 
-    def _snapshot(
-        self, record: _LogRecord
-    ) -> Tuple[VirtualTime, VirtualTime, Cost, int]:
+    def _snapshot(self, record: _LogRecord) -> _Snapshot:
         """Memoized ``(start, finish, estimate, seqno)`` for a still-fresh
         log record.  Safe to compute at any later sync: every mutation of
         the underlying state pairs with a new touch, which supersedes
         this record before the stale snapshot could be reused."""
-        snap = record[2]
+        snap: Optional[_Snapshot] = record[2]
         if snap is None:
-            state = cast(TenantState, record[0])
+            state: TenantState = record[0]
             head = state.queue[0]
             estimate = self._estimator.estimate(head)
             if estimate < MIN_COST:
@@ -243,7 +223,7 @@ class SelectionIndex:
             start = state.start_tag
             snap = (start, start + estimate / state.weight, estimate, head.seqno)
             record[2] = snap
-        return cast(Tuple[VirtualTime, VirtualTime, Cost, int], snap)
+        return snap
 
     def _sync_finish(self) -> None:
         log = self._log
@@ -256,7 +236,7 @@ class SelectionIndex:
         while i < end:
             record = log[i]
             i += 1
-            state = cast(TenantState, record[0])
+            state: TenantState = record[0]
             if record[1] != state.sel_version:
                 continue  # superseded by a later touch (or dropped)
             start, finish, estimate, seqno = self._snapshot(record)
@@ -273,42 +253,29 @@ class SelectionIndex:
         while i < end:
             record = log[i]
             i += 1
-            state = cast(TenantState, record[0])
+            state: TenantState = record[0]
             if record[1] != state.sel_version:
                 continue
             start, finish, estimate, seqno = self._snapshot(record)
             self._push(heap_id, (start, estimate, seqno, record[1], state))
 
-    def _sync_ladder(self) -> None:
-        """Feed fresh dirty records into the gate chain's single entry
-        point: the top pending heap (largest stagger offset)."""
+    def _sync_pending(self) -> None:
         log = self._log
         end = len(log)
-        i = self._cursor_ladder
+        i = self._cursor_pending
         if i == end:
             return
-        self._cursor_ladder = end
-        top = len(self._staggers) - 1
-        heap_id = self._pending[top]
-        stagger = self._staggers[top]
+        self._cursor_pending = end
+        heap_id = self._pending_heap
         while i < end:
             record = log[i]
             i += 1
-            state = cast(TenantState, record[0])
+            state: TenantState = record[0]
             if record[1] != state.sel_version:
                 continue
             start, finish, estimate, seqno = self._snapshot(record)
             self._push(
-                heap_id,
-                (
-                    start - stagger * estimate,
-                    start,
-                    finish,
-                    estimate,
-                    seqno,
-                    record[1],
-                    state,
-                ),
+                heap_id, (start, finish, estimate, seqno, record[1], state)
             )
 
     def _flush_log(self) -> None:
@@ -322,18 +289,14 @@ class SelectionIndex:
             self._sync_finish()
         if self._start_heap >= 0:
             self._sync_start()
-        if self._staggers:
-            self._sync_ladder()
-        live = sum(
-            1
-            for rec in self._log
-            if rec[1] == cast(TenantState, rec[0]).sel_version
-        )
+        if self._pending_heap >= 0:
+            self._sync_pending()
+        live = sum(1 for rec in self._log if rec[1] == rec[0].sel_version)
         self._log_limit = max(_LOG_COMPACT_MIN, 4 * live)
         self._log.clear()
         self._cursor_finish = 0
         self._cursor_start = 0
-        self._cursor_ladder = 0
+        self._cursor_pending = 0
 
     def _push(self, heap_id: int, entry: _HeapEntry) -> None:
         heap = self._heaps[heap_id]
@@ -342,10 +305,7 @@ class SelectionIndex:
         if len(heap) >= self._limits[heap_id]:
             # The suffix layout is fixed: entry[-2] is the sel_version
             # snapshot, entry[-1] the TenantState (see _HeapEntry).
-            live = [
-                e for e in heap
-                if e[-2] == cast(TenantState, e[-1]).sel_version
-            ]
+            live = [e for e in heap if e[-2] == e[-1].sel_version]
             heapq.heapify(live)
             self._heaps[heap_id] = live
             self._limits[heap_id] = max(_COMPACT_MIN, 2 * len(live))
@@ -362,8 +322,8 @@ class SelectionIndex:
             entry = heap[0]
             # Hot path: the (version, state) suffix is read positionally
             # rather than through typed accessors to keep this loop free
-            # of extra function calls (the <5% bench budget).
-            if entry[-2] == entry[-1].sel_version:  # type: ignore[union-attr]
+            # of extra function calls.
+            if entry[-2] == entry[-1].sel_version:
                 top = entry
                 break
             heapq.heappop(heap)
@@ -372,14 +332,20 @@ class SelectionIndex:
             self.stale_pops += stale
         return top
 
+    def _peek_state(self, heap_id: int) -> Optional[TenantState]:
+        entry = self._peek(heap_id)
+        if entry is None:
+            return None
+        state: TenantState = entry[-1]
+        return state
+
     def min_finish(self) -> Optional[TenantState]:
         """Backlogged tenant with the smallest ``(finish tag, head
         estimate, head seqno)`` key -- the WFQ decision."""
         if self._finish_heap < 0:
             raise SchedulerError("selection index was built without a finish heap")
         self._sync_finish()
-        entry = self._peek(self._finish_heap)
-        return cast(TenantState, entry[-1]) if entry is not None else None
+        return self._peek_state(self._finish_heap)
 
     def min_start(self) -> Optional[TenantState]:
         """Backlogged tenant with the smallest ``(start tag, head
@@ -387,8 +353,7 @@ class SelectionIndex:
         if self._start_heap < 0:
             raise SchedulerError("selection index was built without a start heap")
         self._sync_start()
-        entry = self._peek(self._start_heap)
-        return cast(TenantState, entry[-1]) if entry is not None else None
+        return self._peek_state(self._start_heap)
 
     def min_start_tag(self) -> Optional[VirtualTime]:
         """Smallest start tag over backlogged tenants (WF2Q+ virtual-time
@@ -397,76 +362,48 @@ class SelectionIndex:
             raise SchedulerError("selection index was built without a start heap")
         self._sync_start()
         entry = self._peek(self._start_heap)
-        return cast(VirtualTime, entry[0]) if entry is not None else None
+        if entry is None:
+            return None
+        start: VirtualTime = entry[0]
+        return start
 
-    def min_eligible_finish(
-        self, slot: int, threshold: VirtualTime
-    ) -> Optional[TenantState]:
-        """Smallest-finish-tag tenant whose staggered start tag is within
-        ``threshold`` for stagger slot ``slot``.
+    def min_eligible_finish(self, threshold: VirtualTime) -> Optional[TenantState]:
+        """Smallest-finish-tag tenant whose start tag is within
+        ``threshold``.
 
         ``threshold`` must be non-decreasing across calls (system virtual
-        time never moves backwards), which is what lets entries migrate
-        through each gate exactly once.  Gates are drained from the top
-        stagger down to ``slot``; an entry with ``e_slot <= threshold``
-        has ``e_j <= e_slot <= threshold`` at every intermediate gate
-        (staggers ascending, estimates positive), so after the drain
-        ``ready[slot]`` holds the full slot eligibility set.
+        time never moves backwards), which is what lets entries cross the
+        gate exactly once: every pending entry at or below the threshold
+        moves to the ready heap, re-keyed from start to finish tag.
         """
-        self._sync_ladder()
-        heaps = self._heaps
-        staggers = self._staggers
-        pending_ids = self._pending
-        ready_ids = self._ready
+        if self._pending_heap < 0:
+            raise SchedulerError(
+                "selection index was built without an eligibility gate"
+            )
+        self._sync_pending()
+        pending = self._heaps[self._pending_heap]
+        ready_id = self._ready_heap
         stale = 0
-        for j in range(len(staggers) - 1, slot - 1, -1):
-            pending = heaps[pending_ids[j]]
-            if not pending:
+        while pending:
+            entry = pending[0]
+            # Key check first: when the top key is beyond the threshold
+            # nothing can migrate, fresh or stale (a stale top parked out
+            # there is swept up by compaction or once the threshold
+            # reaches it).  Hot path: positional suffix reads, as in
+            # _peek.
+            if entry[0] > threshold:
+                break
+            heapq.heappop(pending)
+            if entry[-2] != entry[-1].sel_version:
+                stale += 1
                 continue
-            ready_id = ready_ids[j]
-            # An entry leaving pending[j] must ALWAYS seed pending[j-1]
-            # (not only when the query slot lies below j): a later query
-            # for a lower slot drains the lower gates and would never
-            # see a tenant this query consumed from gate j.
-            cascade = j > 0
-            if cascade:
-                next_stagger = staggers[j - 1]
-                next_id = pending_ids[j - 1]
-            while pending:
-                entry = pending[0]
-                # Key check first: when the top key is beyond the
-                # threshold nothing can migrate, fresh or stale (a stale
-                # top parked out there is swept up by compaction or once
-                # the threshold reaches it).  Hot path: positional
-                # suffix reads, as in _peek.
-                if entry[0] > threshold:  # type: ignore[operator]
-                    break
-                if entry[-2] != entry[-1].sel_version:  # type: ignore[union-attr]
-                    heapq.heappop(pending)
-                    stale += 1
-                    continue
-                heapq.heappop(pending)
-                # Re-key from staggered start to finish tag; the ready
-                # entry drops the (staggered start, start) prefix.
-                self._push(ready_id, entry[2:])
-                if cascade:
-                    # entry = (e_j, start, finish, estimate, seqno, v, state)
-                    start = cast(float, entry[1])
-                    estimate = cast(float, entry[3])
-                    self._push(
-                        next_id,
-                        (start - next_stagger * estimate,) + entry[1:],
-                    )
+            # The ready entry drops the start-tag prefix.
+            self._push(ready_id, entry[1:])
         if stale:
             self.stale_pops += stale
-        top = self._peek(ready_ids[slot])
-        return cast(TenantState, top[-1]) if top is not None else None
+        return self._peek_state(ready_id)
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def staggers(self) -> Tuple[Scalar, ...]:
-        return self._staggers
 
     def stats(self) -> Dict[str, int]:
         """Churn counters plus current live occupancy.
@@ -496,14 +433,15 @@ class SelectionIndex:
             sizes["finish"] = len(self._heaps[self._finish_heap])
         if self._start_heap >= 0:
             sizes["start"] = len(self._heaps[self._start_heap])
-        for slot in range(len(self._staggers)):
-            sizes[f"pending[{slot}]"] = len(self._heaps[self._pending[slot]])
-            sizes[f"ready[{slot}]"] = len(self._heaps[self._ready[slot]])
+        if self._pending_heap >= 0:
+            sizes["pending"] = len(self._heaps[self._pending_heap])
+            sizes["ready"] = len(self._heaps[self._ready_heap])
         sizes["log"] = len(self._log)
         return sizes
 
     def __repr__(self) -> str:
         return (
             f"SelectionIndex(finish={self._finish_heap >= 0}, "
-            f"start={self._start_heap >= 0}, staggers={len(self._staggers)})"
+            f"start={self._start_heap >= 0}, "
+            f"eligible={self._pending_heap >= 0})"
         )

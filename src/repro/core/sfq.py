@@ -39,6 +39,6 @@ class SFQScheduler(VirtualTimeScheduler):
         # Always finds a tenant while anything is backlogged, so the
         # fallback path never fires for SFQ.
         index = self._index
-        if index is None:  # dequeue routes here only in indexed mode
+        if index is None:  # built at construction by _index_spec
             raise SchedulerError("indexed selection invoked without an index")
         return index.min_start()

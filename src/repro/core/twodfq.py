@@ -35,9 +35,8 @@ requests -- pessimism turns estimation error into spatial isolation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Optional
 
-from ..errors import SchedulerError
 from ..estimation.base import CostEstimator
 from ..estimation.pessimistic import PessimisticEstimator
 from ..units import Cost, Rate, Scalar, VirtualTime
@@ -92,25 +91,11 @@ class TwoDFQScheduler(VirtualTimeScheduler):
     # On thread n-1 the stagger is largest, so small requests are usually
     # eligible there and the fallback fires rarely; on thread 0 the
     # eligibility set equals WF2Q's.
-
-    def _index_spec(self) -> Optional[Dict[str, Any]]:
-        # One eligibility slot per worker thread: thread ``i`` gates on
-        # the staggered start tag ``S_f - (i/n) * l_head``.  Touch cost
-        # is O(n log N); dequeue drops to O(log N) amortized per thread,
-        # a win whenever backlogged tenants far outnumber threads.
-        n = self._num_threads
-        return {
-            "finish": True,
-            "staggers": tuple(i / n for i in range(n)),
-        }
-
-    def _select_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        index = self._index
-        if index is None:  # dequeue routes here only in indexed mode
-            raise SchedulerError("indexed selection invoked without an index")
-        return index.min_eligible_finish(
-            thread_id, self._eligibility_threshold(vnow)
-        )
+    #
+    # No selection index: the fused pass above evaluates each thread's
+    # stagger in one scan, while an index needs one eligibility gate
+    # per thread and measured slower end to end on every shipped
+    # workload (DESIGN.md §15).
 
     # -- tracing hooks ---------------------------------------------------------
 
@@ -151,10 +136,9 @@ class TwoDFQEScheduler(TwoDFQScheduler):
         estimator: Optional[CostEstimator] = None,
         alpha: Scalar = 0.99,
         initial_estimate: Cost = 1.0,
-        indexed: Union[bool, str] = "auto",
     ) -> None:
         if estimator is None:
             estimator = PessimisticEstimator(
                 alpha=alpha, initial_estimate=initial_estimate
             )
-        super().__init__(num_threads, thread_rate, estimator, indexed=indexed)
+        super().__init__(num_threads, thread_rate, estimator)

@@ -25,46 +25,27 @@ choosing a backlogged tenant given the thread index and current virtual
 time, plus optionally :meth:`_fallback` for the work-conserving choice
 when no tenant is *eligible* under the policy.
 
-Selection runs in one of three interchangeable modes:
-
-* **linear scan** (``indexed=False``, the reference): `_select` /
-  `_fallback` walk the backlogged set, exactly as the policy
-  definitions read;
-* **indexed** (``indexed=True``): policies that declare an
-  :meth:`_index_spec` get a :class:`~repro.core.selection.SelectionIndex`
-  -- heaps with lazy invalidation -- and `dequeue` routes through
-  :meth:`_select_indexed` / :meth:`_fallback_indexed` instead, dropping
-  the per-dequeue cost from O(N) to O(log N) amortized;
-* **adaptive** (``indexed="auto"``, the default): the scheduler tracks
-  the live backlogged-tenant count and switches between the two modes
-  with hysteresis around the benchmarked linear/heap crossover
-  (:data:`AUTO_INDEX_HIGH` / :data:`AUTO_INDEX_LOW`; DESIGN.md §15
-  records the methodology) -- small backlogs keep the cache-friendly
-  linear scan, large backlogs get the index.
-
-All modes are dispatch-for-dispatch identical (the differential tests
-assert it); external subclasses that only override `_select` simply
-keep the linear path, whatever mode was requested.
+Each policy has exactly one selection path.  Policies whose decision
+is a single ordering over the backlog -- WFQ, SFQ, WF2Q, MSF2Q, WF2Q+
+and their ^E variants -- declare an :meth:`_index_spec`; they always
+build a :class:`~repro.core.selection.SelectionIndex` (heaps with lazy
+invalidation) at construction, and ``dequeue`` routes through
+:meth:`_select_indexed` / :meth:`_fallback_indexed`, O(log N) amortized
+per decision.  2DFQ, whose per-thread stagger is cheapest as one fused
+pass, and external subclasses that only override :meth:`_select` keep
+the linear scans (`_select` / `_fallback`), which also serve as the
+reference semantics: the differential tests pin every indexed policy
+dispatch-for-dispatch to its linear scan (DESIGN.md §8, §15).
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    ClassVar,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional
 
 if TYPE_CHECKING:
     from ..obs.registry import Timer
 
-from ..errors import ConfigurationError, SchedulerError
+from ..errors import SchedulerError
 from ..estimation.base import CostEstimator
 from ..units import Cost, Rate, SimTime, VirtualTime
 from ..estimation.oracle import OracleEstimator
@@ -94,31 +75,13 @@ class VirtualTimeScheduler(Scheduler):
         :class:`~repro.estimation.ema.EMAEstimator` or
         :class:`~repro.estimation.pessimistic.PessimisticEstimator` for
         the ^E variants.
-    indexed:
-        Selection mode: ``"auto"`` (the default) switches between the
-        linear scan and the heap index from the live backlog size with
-        hysteresis; ``True`` forces the index whenever the policy
-        provides one; ``False`` forces the reference linear scans.  The
-        differential tests run all three modes side by side.
     """
-
-    #: Adaptive-mode hysteresis band, in backlogged tenants: the index
-    #: is built when the backlog reaches ``AUTO_INDEX_HIGH`` and torn
-    #: down when it falls to ``AUTO_INDEX_LOW``.  The defaults sit above
-    #: the measured linear/heap crossover of the slowest policies
-    #: (``repro.perf.hotpath.measure_adaptive_crossover``; DESIGN.md
-    #: §15), with a 2x band so a backlog oscillating around the
-    #: crossover does not thrash index builds.  Class attributes:
-    #: subclasses or callers may retune per deployment.
-    AUTO_INDEX_HIGH: ClassVar[int] = 32
-    AUTO_INDEX_LOW: ClassVar[int] = 16
 
     def __init__(
         self,
         num_threads: int,
         thread_rate: Rate = 1.0,
         estimator: Optional[CostEstimator] = None,
-        indexed: Union[bool, str] = "auto",
     ) -> None:
         super().__init__(num_threads, thread_rate)
         self._estimator = estimator if estimator is not None else OracleEstimator()
@@ -127,43 +90,16 @@ class VirtualTimeScheduler(Scheduler):
         # for dequeue.  dict preserves insertion order, giving stable
         # iteration for deterministic tie-breaking.
         self._backlogged: dict[str, TenantState] = {}
-        self._index: Optional[SelectionIndex] = None
-        if indexed is True:
-            self._auto = False
-            spec = self._index_spec()
-            if spec is not None:
-                self._index = SelectionIndex(self._estimator, **spec)
-        elif indexed is False:
-            self._auto = False
-        elif indexed == "auto":
-            # Auto on a policy without an index spec degenerates to the
-            # linear scans: _activate_index() finds no spec and disarms.
-            self._auto = self._index_spec() is not None
-        else:
-            raise ConfigurationError(
-                f"indexed must be True, False, or 'auto', got {indexed!r}"
-            )
+        spec = self._index_spec()
+        self._index: Optional[SelectionIndex] = (
+            SelectionIndex(self._estimator, **spec) if spec is not None else None
+        )
 
     # -- introspection ---------------------------------------------------------
 
     @property
     def estimator(self) -> CostEstimator:
         return self._estimator
-
-    @property
-    def indexed(self) -> bool:
-        """True when dequeues currently run through the O(log N)
-        selection index (in adaptive mode this flips with the backlog)."""
-        return self._index is not None
-
-    @property
-    def selection_mode(self) -> str:
-        """The configured selection mode: ``"auto"``, ``"indexed"``, or
-        ``"linear"`` (``indexed`` / ``linear`` also cover auto-less
-        policies without an index spec)."""
-        if self._auto:
-            return "auto"
-        return "indexed" if self._index is not None else "linear"
 
     @property
     def selection_index(self) -> Optional[SelectionIndex]:
@@ -204,20 +140,6 @@ class VirtualTimeScheduler(Scheduler):
             for state in self._backlogged.values():
                 self._index.touch(state)
 
-    def _activate_index(self) -> None:
-        """Adaptive mode, rising edge: build a fresh selection index and
-        seed it with the entire backlog.  O(N) once per activation --
-        amortized against the >= AUTO_INDEX_HIGH dequeues the backlog
-        implies before the tear-down threshold can be reached."""
-        spec = self._index_spec()
-        if spec is None:  # pragma: no cover - auto is disarmed in __init__
-            self._auto = False
-            return
-        index = SelectionIndex(self._estimator, **spec)
-        for state in self._backlogged.values():
-            index.touch(state)
-        self._index = index
-
     # -- scheduler contract ------------------------------------------------------
 
     def enqueue(self, request: Request, now: SimTime) -> None:
@@ -247,14 +169,8 @@ class VirtualTimeScheduler(Scheduler):
         if len(state.queue) == 1:
             # A new head request (and possibly a fast-forwarded start
             # tag); deeper enqueues change neither the head nor the tag.
-            index = self._index
-            if index is not None:
-                index.touch(state)
-            elif self._auto and len(self._backlogged) >= self.AUTO_INDEX_HIGH:
-                # Adaptive rising edge.  Checked only here: the backlog
-                # can only grow when a tenant becomes backlogged, so
-                # deeper enqueues never need to re-test the threshold.
-                self._activate_index()
+            if self._index is not None:
+                self._index.touch(state)
         if trace is not None:
             trace.enqueue(
                 now,
@@ -273,15 +189,6 @@ class VirtualTimeScheduler(Scheduler):
         if not self._backlogged:
             return None
         index = self._index
-        if (
-            index is not None
-            and self._auto
-            and len(self._backlogged) <= self.AUTO_INDEX_LOW
-        ):
-            # Adaptive mode, falling edge: below the crossover the
-            # linear scan wins; discard the index (a later activation
-            # rebuilds from scratch, so no coherence to maintain).
-            self._index = index = None
         # Per-phase profiling timers (ISSUE spans tentpole): only fetched
         # while a tracer is attached, so the disabled hot path stays one
         # ``is not None`` check per phase.  The clock behind the timers
@@ -365,81 +272,6 @@ class VirtualTimeScheduler(Scheduler):
                 backlog=self._size,
             )
         return request
-
-    def dequeue_batch(
-        self, thread_ids: Sequence[int], now: SimTime
-    ) -> List[Request]:
-        """Batched :meth:`dequeue`: one dispatch per thread id, in
-        order, stopping early when the backlog drains.
-
-        Request-for-request identical to the sequential loop (the batch
-        property tests pin requests, order, virtual times, and tracer
-        event streams), but the untraced hot path runs one inlined loop
-        with the per-dispatch attribute lookups hoisted out -- this is
-        what :class:`~repro.simulator.server.ThreadPoolServer` calls
-        when several workers free at the same instant.  The traced path
-        simply loops :meth:`dequeue` so phase timers and event streams
-        stay exactly per-dispatch.
-        """
-        if self._trace is not None:
-            batch: List[Request] = []
-            for thread_id in thread_ids:
-                request = self.dequeue(thread_id, now)
-                if request is None:
-                    break
-                batch.append(request)
-            return batch
-        # Untraced fast path: the body below replicates dequeue() minus
-        # the tracer branches, with loop-invariant lookups hoisted.
-        # Keep the two in lockstep when touching either.
-        batch = []
-        backlogged = self._backlogged
-        clock = self._clock
-        estimator = self._estimator
-        auto = self._auto
-        low = self.AUTO_INDEX_LOW
-        for thread_id in thread_ids:
-            self._check_thread(thread_id)
-            if not backlogged:
-                break
-            index = self._index
-            if index is not None and auto and len(backlogged) <= low:
-                self._index = index = None
-            vnow = self._adjust_virtual_time(clock.advance(now))
-            if index is not None:
-                state = self._select_indexed(thread_id, vnow)
-                if state is None:
-                    state = self._fallback_indexed(thread_id, vnow)
-            else:
-                state = self._select(thread_id, vnow)
-                if state is None:
-                    state = self._fallback(thread_id, vnow)
-            if state is None:
-                raise SchedulerError(
-                    f"{type(self).__name__} violated work conservation with "
-                    f"{self._size} queued requests"
-                )
-            request = state.queue.popleft()
-            if not state.queue:
-                del backlogged[state.tenant_id]
-            estimate = max(estimator.estimate(request), MIN_COST)
-            request.charged_cost = estimate
-            request.credit = estimate
-            state.start_tag += estimate / state.weight
-            state.running += 1
-            if index is not None:
-                if state.queue:
-                    index.touch(state)
-                else:
-                    index.drop(state)
-            # Inlined Scheduler._note_dispatched (hot path).
-            request.phase = RequestPhase.RUNNING
-            request.thread_id = thread_id
-            request.dispatch_time = now
-            self._size -= 1
-            self._dispatched += 1
-            batch.append(request)
-        return batch
 
     def refresh(self, request: Request, usage: Cost, now: SimTime) -> None:
         """Refresh charging (Figure 7, Refresh): consume pre-paid credit,
@@ -621,7 +453,9 @@ class VirtualTimeScheduler(Scheduler):
 
         This is the *reference* linear-scan hook; it stays O(N) and
         readable.  Policies that also provide :meth:`_index_spec` and
-        :meth:`_select_indexed` get the O(log N) path in ``dequeue``.
+        :meth:`_select_indexed` dispatch through the O(log N) path
+        instead; this hook then only serves as the differential
+        reference.
         """
         raise NotImplementedError
 
@@ -634,16 +468,17 @@ class VirtualTimeScheduler(Scheduler):
         """Describe the ordered structures this policy's indexed
         selection needs, as keyword arguments for
         :class:`~repro.core.selection.SelectionIndex` (``finish``,
-        ``start``, ``staggers``).  Return ``None`` (the default) to run
-        on the linear scans only -- which is what external subclasses
-        that merely override :meth:`_select` get, unchanged.
+        ``start``, ``eligible``); the index is built at construction.
+        Return ``None`` (the default) to run on the linear scans only --
+        which is what external subclasses that merely override
+        :meth:`_select` get, unchanged.
         """
         return None
 
     def _select_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
         """Indexed counterpart of :meth:`_select`; must make the exact
         same decision.  Only called when :meth:`_index_spec` returned a
-        spec and ``indexed=True``."""
+        spec."""
         raise NotImplementedError
 
     def _fallback_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
@@ -662,8 +497,8 @@ class VirtualTimeScheduler(Scheduler):
 
         The default (no eligibility gate: WFQ, SFQ) is the whole
         backlogged set; gated policies override.  Runs only under an
-        attached tracer, so an O(N) scan is acceptable here even in
-        indexed mode.
+        attached tracer, so an O(N) scan is acceptable here even for
+        indexed policies.
         """
         return len(self._backlogged)
 

@@ -43,15 +43,15 @@ class WF2QScheduler(VirtualTimeScheduler):
     # _fallback inherited: min finish tag over everything (work conserving).
 
     def _index_spec(self) -> Optional[Dict[str, Any]]:
-        # One eligibility slot (stagger 0: plain ``S_f <= v(now)``) plus
-        # the finish heap backing the work-conserving fallback.
-        return {"finish": True, "staggers": (0.0,)}
+        # The eligibility gate (``S_f <= v(now)``) plus the finish heap
+        # backing the work-conserving fallback.
+        return {"finish": True, "eligible": True}
 
     def _select_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
         index = self._index
-        if index is None:  # dequeue routes here only in indexed mode
+        if index is None:  # built at construction by _index_spec
             raise SchedulerError("indexed selection invoked without an index")
-        return index.min_eligible_finish(0, self._eligibility_threshold(vnow))
+        return index.min_eligible_finish(self._eligibility_threshold(vnow))
 
     def _trace_eligible_count(self, thread_id: int, vnow: VirtualTime) -> int:
         # Tracing only: |{ f in A : S_f <= v(now) }|, the all-or-nothing

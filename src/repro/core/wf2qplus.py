@@ -58,6 +58,6 @@ class WF2QPlusScheduler(WF2QScheduler):
         return True
 
     def _index_spec(self) -> Optional[Dict[str, Any]]:
-        # WF2Q's eligibility slot and fallback, plus the start heap that
+        # WF2Q's eligibility gate and fallback, plus the start heap that
         # backs the ``min_f S_f`` term of the virtual-time function.
-        return {"finish": True, "start": True, "staggers": (0.0,)}
+        return {"finish": True, "start": True, "eligible": True}

@@ -37,6 +37,6 @@ class WFQScheduler(VirtualTimeScheduler):
 
     def _select_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
         index = self._index
-        if index is None:  # dequeue routes here only in indexed mode
+        if index is None:  # built at construction by _index_spec
             raise SchedulerError("indexed selection invoked without an index")
         return index.min_finish()

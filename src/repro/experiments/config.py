@@ -6,6 +6,10 @@ shape, duration, sampling, refresh charging, seeding, and per-scheduler
 construction arguments.  The same workload trace is materialized once
 and replayed against every scheduler (the paper's controlled-comparison
 methodology).
+
+Every field changes what a run computes.  The config selects no
+implementation: the simulator has one event queue and each scheduler
+one selection path (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -58,12 +62,6 @@ class ExperimentConfig:
         sketches for long runs -- DESIGN.md §13).  Part of the config,
         hence of run-cache keys: the two modes produce different result
         objects.
-    event_queue:
-        ``"heap"`` (default) or ``"calendar"`` -- the simulator's event
-        queue implementation (:mod:`repro.simulator.events`).  Pop-order
-        identical, so results do not change; the calendar queue is the
-        throughput choice once pending events reach the hundreds of
-        thousands (DESIGN.md §15).
     """
 
     name: str
@@ -81,7 +79,6 @@ class ExperimentConfig:
     fault_plan: Optional[FaultPlan] = None
     validate: bool = False
     metrics_mode: str = "exact"
-    event_queue: str = "heap"
 
     def __post_init__(self) -> None:
         if isinstance(self.fault_plan, dict):
@@ -104,11 +101,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"metrics_mode must be 'exact' or 'streaming', "
                 f"got {self.metrics_mode!r}"
-            )
-        if self.event_queue not in ("heap", "calendar"):
-            raise ConfigurationError(
-                f"event_queue must be 'heap' or 'calendar', "
-                f"got {self.event_queue!r}"
             )
 
     @property

@@ -54,9 +54,6 @@ def _scheduler_manifest(scheduler: Scheduler) -> Dict[str, Any]:
         info["estimator"] = repr(estimator)
     index = getattr(scheduler, "selection_index", None)
     info["indexed"] = index is not None
-    mode = getattr(scheduler, "selection_mode", None)
-    if mode is not None:
-        info["selection_mode"] = mode
     if index is not None:
         info["selection_index"] = index.stats()
     return info
@@ -88,7 +85,7 @@ def run_single(
     recorder whose dumps are exported even when a strict-mode watchdog
     raise aborts the run.
     """
-    sim = Simulation(event_queue=config.event_queue)
+    sim = Simulation()
     inner_scheduler = make_scheduler(
         scheduler_name,
         num_threads=config.num_threads,

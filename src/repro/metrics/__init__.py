@@ -23,7 +23,6 @@ from .service import ServiceSeries, ServiceTracker
 from .streaming import (
     BoundedServiceSeries,
     MetricsPartial,
-    P2Quantile,
     QuantileDigest,
     ReservoirSample,
     RingBuffer,
@@ -47,7 +46,6 @@ __all__ = [
     "merge_partials",
     "StreamingMoments",
     "QuantileDigest",
-    "P2Quantile",
     "ReservoirSample",
     "RingBuffer",
     "BoundedServiceSeries",

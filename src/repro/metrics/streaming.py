@@ -11,10 +11,6 @@ the constant-memory accumulators behind
 * :class:`QuantileDigest` -- a t-digest-style mergeable quantile sketch
   (buffered merging-compaction with a tail-tight weight limit); powers
   per-tenant latency percentiles.
-* :class:`P2Quantile` -- the classic P² single-quantile estimator
-  (Jain & Chlamtac 1985): five markers, O(1) memory, approximate merge
-  by piecewise-CDF resampling.  The lighter alternative when only one
-  quantile is needed.
 * :class:`ReservoirSample` -- seeded Algorithm-R reservoir; exact while
   the stream fits, uniform subsample beyond; powers the Gini samples.
 * :class:`RingBuffer` -- capped dispatch log keeping the most recent
@@ -49,7 +45,6 @@ from ..units import Cost, Duration, Scalar, SimTime
 __all__ = [
     "StreamingMoments",
     "QuantileDigest",
-    "P2Quantile",
     "ReservoirSample",
     "RingBuffer",
     "BoundedServiceSeries",
@@ -301,152 +296,6 @@ class QuantileDigest:
             f"QuantileDigest(count={self.count:g}, centroids={self.size}, "
             f"compression={self.compression})"
         )
-
-
-class P2Quantile:
-    """P² single-quantile estimator (Jain & Chlamtac 1985).
-
-    Five markers track (min, p/2, p, (1+p)/2, max); marker heights move
-    by piecewise-parabolic interpolation as positions drift from their
-    desired quantile ranks.  O(1) memory, no buffers -- the minimal
-    streaming percentile when a full digest is overkill.
-
-    ``merge`` is approximate: each sketch is read as a piecewise-linear
-    CDF through its markers, resampled at ``resample`` evenly spaced
-    quantiles weighted by its count, and the samples re-fed into a fresh
-    sketch.  Use :class:`QuantileDigest` when merge fidelity matters.
-    """
-
-    __slots__ = ("p", "count", "_initial", "_heights", "_positions", "_desired")
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ConfigurationError(f"p must be in (0, 1), got {p}")
-        self.p = float(p)
-        self.count = 0
-        self._initial: List[float] = []
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        if self._heights:
-            self._insert(float(value))
-            return
-        self._initial.append(float(value))
-        if len(self._initial) == 5:
-            self._initial.sort()
-            self._heights = list(self._initial)
-            self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-            p = self.p
-            self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p,
-                             3.0 + 2.0 * p, 5.0]
-            self._initial = []
-
-    def _insert(self, value: float) -> None:
-        heights = self._heights
-        positions = self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        p = self.p
-        increments = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
-        for i in range(5):
-            self._desired[i] += increments[i]
-        # Adjust interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        term1 = step / (positions[i + 1] - positions[i - 1])
-        term2 = (positions[i] - positions[i - 1] + step) * (
-            heights[i + 1] - heights[i]
-        ) / (positions[i + 1] - positions[i])
-        term3 = (positions[i + 1] - positions[i] - step) * (
-            heights[i] - heights[i - 1]
-        ) / (positions[i] - positions[i - 1])
-        return heights[i] + term1 * (term2 + term3)
-
-    def _linear(self, i: int, step: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        j = i + int(step)
-        return heights[i] + step * (heights[j] - heights[i]) / (
-            positions[j] - positions[i]
-        )
-
-    def value(self) -> float:
-        """Current estimate of the ``p``-quantile."""
-        if self.count == 0:
-            return float("nan")
-        if self._initial:
-            ordered = sorted(self._initial)
-            return float(np.percentile(ordered, self.p * 100.0))
-        return self._heights[2]
-
-    def _cdf_points(self) -> Tuple[List[float], List[float]]:
-        """(quantile rank, value) knots of the piecewise-linear read."""
-        if self._initial:
-            ordered = sorted(self._initial)
-            n = len(ordered)
-            if n == 1:
-                return [0.0, 1.0], [ordered[0], ordered[0]]
-            ranks = [i / (n - 1) for i in range(n)]
-            return ranks, ordered
-        total = self._positions[4]
-        ranks = [(pos - 1.0) / (total - 1.0) for pos in self._positions]
-        return ranks, list(self._heights)
-
-    def merge(self, other: "P2Quantile", resample: int = 64) -> "P2Quantile":
-        """Approximate union sketch by weighted CDF resampling."""
-        if other.p != self.p:
-            raise ConfigurationError(
-                f"cannot merge P2Quantile(p={other.p}) into p={self.p}"
-            )
-        merged = P2Quantile(self.p)
-        sources = [s for s in (self, other) if s.count > 0]
-        total = sum(s.count for s in sources)
-        if total == 0:
-            return merged
-        # Interleave weighted resamples in a deterministic round-robin so
-        # neither window dominates the warm-up of the fresh sketch.
-        streams: List[List[float]] = []
-        for source in sources:
-            ranks, values = source._cdf_points()
-            share = max(5, int(round(resample * source.count / total)))
-            qs = np.linspace(0.0, 1.0, share)
-            streams.append(list(np.interp(qs, ranks, values)))
-        while any(streams):
-            for stream in streams:
-                if stream:
-                    merged.add(stream.pop(0))
-        merged.count = total
-        return merged
-
-    def __repr__(self) -> str:
-        return f"P2Quantile(p={self.p}, count={self.count}, value={self.value():.6g})"
 
 
 class ReservoirSample:

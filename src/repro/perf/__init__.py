@@ -1,31 +1,18 @@
 """Performance measurement helpers.
 
-The ROADMAP's north star is a simulator that "runs as fast as the
-hardware allows"; this package is where that claim is measured.  Two
-instruments:
-
-* the scheduler hot-path harness (:mod:`repro.perf.hotpath`), which
-  times ``dequeue`` throughput per scheduler, backlog size, and
-  selection mode (linear / forced index / adaptive auto), locates the
-  linear-vs-index crossover backing the adaptive thresholds, and
-  ablates ``dequeue_batch`` batch sizes; persisted to
-  ``BENCH_schedulers.json`` so regressions are visible PR over PR;
-* the event-queue harness (:mod:`repro.perf.eventq`), which runs the
-  hold-model sweep comparing the binary-heap and calendar event queues
-  across pending-event counts up to a million.
+The scheduler hot-path harness (:mod:`repro.perf.hotpath`) times
+``dequeue`` throughput per indexed policy and backlog size, as shipped
+and on the policy's linear-scan reference; it is persisted to
+``BENCH_schedulers.json`` so regressions are visible from change to
+change.  End-to-end numbers (figure wall-clock, simulated requests per
+second, per-layer split) live in ``perfbench/``.
 """
 
-from .eventq import (
-    DEFAULT_PENDING_SIZES,
-    format_event_queue_results,
-    measure_event_queue_throughput,
-)
 from .hotpath import (
     DEFAULT_SCHEDULERS,
     DEFAULT_TENANT_COUNTS,
     format_results,
-    measure_adaptive_crossover,
-    measure_batch_dispatch,
+    make_linear_reference,
     measure_dequeue_throughput,
     measure_observability_overhead,
     measure_paired_cell,
@@ -35,15 +22,11 @@ from .hotpath import (
 )
 
 __all__ = [
-    "DEFAULT_PENDING_SIZES",
     "DEFAULT_SCHEDULERS",
     "DEFAULT_TENANT_COUNTS",
-    "format_event_queue_results",
     "format_results",
-    "measure_adaptive_crossover",
-    "measure_batch_dispatch",
+    "make_linear_reference",
     "measure_dequeue_throughput",
-    "measure_event_queue_throughput",
     "measure_observability_overhead",
     "measure_paired_cell",
     "quiesced_gc",

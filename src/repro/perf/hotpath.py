@@ -9,13 +9,15 @@ drives the full dispatch cycle a real simulation performs per request:
             -> enqueue a replacement for the same tenant
 
 so the numbers reflect the whole bookkeeping path, not just the
-selection scan.  Every scheduler is measured in all three selection
-modes -- the reference linear scans (``indexed=False``), the forced
-index (``indexed=True``) and the shipped adaptive default
-(``indexed="auto"``) -- with repetitions interleaved across modes and
-paired per repetition (:func:`measure_paired_cell`), so the reported
-speedups are robust to allocator-layout session drift; the ratio is
-the speedup the selection mode buys at that backlog size.
+selection scan.  Every indexed policy is measured twice -- as shipped
+(its selection index, built at construction) and as its linear-scan
+reference (:func:`make_linear_reference`: the same class with
+``_index_spec`` returning ``None``, the route external subclasses
+take) -- with repetitions interleaved and paired per repetition
+(:func:`measure_paired_cell`), so the reported speedup is robust to
+allocator-layout session drift; the ratio is what the index buys at
+that backlog size.  2DFQ ships the linear scan only, so it has no
+pair to compare and is measured end to end instead (``perfbench/``).
 
 Results are persisted as ``BENCH_schedulers.json`` (see
 ``benchmarks/test_bench_perf_hotpath.py``) so the performance
@@ -34,13 +36,27 @@ observability contract is held to (DESIGN.md §9).
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import json
 import platform
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+    cast,
+)
 
 from ..core import make_scheduler
+from ..core.scheduler import Scheduler
+from ..core.vt_base import VirtualTimeScheduler
 from ..core.request import Request
 from ..obs.audit import AuditConfig, FairnessAuditor
 from ..obs.flight import FlightRecorder
@@ -51,10 +67,9 @@ from ..simulator.rng import make_rng
 __all__ = [
     "DEFAULT_SCHEDULERS",
     "DEFAULT_TENANT_COUNTS",
+    "make_linear_reference",
     "measure_dequeue_throughput",
     "measure_paired_cell",
-    "measure_adaptive_crossover",
-    "measure_batch_dispatch",
     "measure_observability_overhead",
     "quiesced_gc",
     "run_hotpath_suite",
@@ -83,16 +98,14 @@ def quiesced_gc() -> Iterator[None]:
         if was_enabled:
             gc.enable()
 
-#: Virtual-time schedulers with both a linear and an indexed selection
-#: path; FIFO/RR/DRR are O(1) by construction and not interesting here.
+#: Virtual-time schedulers that ship a selection index; FIFO/RR/DRR are
+#: O(1) by construction and 2DFQ ships the linear scan only.
 DEFAULT_SCHEDULERS: Tuple[str, ...] = (
     "wfq",
     "sfq",
     "wf2q",
     "wf2q+",
     "msf2q",
-    "2dfq",
-    "2dfq-e",
     "wf2q-e",
 )
 
@@ -101,6 +114,36 @@ DEFAULT_TENANT_COUNTS: Tuple[int, ...] = (2, 10, 100, 1000, 10000)
 #: APIs drawn for the synthetic backlog; a small set keeps estimator
 #: state realistic (a few keys per tenant) without unbounded growth.
 _APIS = ("A", "C", "G")
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_class(cls: Type[VirtualTimeScheduler]) -> Type[VirtualTimeScheduler]:
+    def no_index(self: VirtualTimeScheduler) -> None:
+        return None
+
+    return cast(
+        Type[VirtualTimeScheduler],
+        type(cls.__name__, (cls,), {"_index_spec": no_index}),
+    )
+
+
+def make_linear_reference(
+    scheduler_name: str, num_threads: int, thread_rate: float = 1.0
+) -> Scheduler:
+    """Build ``scheduler_name`` on its reference linear scans.
+
+    The result is the registered scheduler's class with ``_index_spec``
+    returning ``None`` -- exactly what an external subclass that only
+    overrides ``_select`` gets -- driven by a fresh copy of the same
+    estimator.  Used as the differential and throughput baseline for
+    the indexed policies.
+    """
+    shipped = make_scheduler(scheduler_name, num_threads, thread_rate)
+    if not isinstance(shipped, VirtualTimeScheduler):
+        raise TypeError(f"{scheduler_name!r} is not a virtual-time scheduler")
+    return _linear_class(type(shipped))(
+        num_threads, thread_rate, estimator=shipped.estimator
+    )
 
 
 def _default_ops(num_tenants: int) -> int:
@@ -135,21 +178,18 @@ def measure_dequeue_throughput(
     thread_rate: float = 1.0,
     ops: Optional[int] = None,
     seed: int = 0,
-    indexed: Union[bool, str] = True,
+    linear: bool = False,
     repeats: int = 2,
     tracer_factory: Optional[Callable[[], Tracer]] = None,
 ) -> Dict[str, Union[str, int, float, bool]]:
     """Time ``ops`` full dispatch cycles with ``num_tenants`` backlogged.
 
     Returns a record with ``rps`` (dispatches per wallclock second, best
-    of ``repeats`` runs on freshly built schedulers).  ``indexed``
-    accepts the scheduler's three selection modes (``True`` forces the
-    index, ``False`` the linear scans, ``"auto"`` the shipped adaptive
-    default); ``selection_mode``/``index_active`` in the record say
-    which mode ran and whether an index was live at the end.
-    ``tracer_factory`` (one fresh tracer per repetition) turns on event
-    emission for the timed region; the default ``None`` measures the
-    shipped disabled path.
+    of ``repeats`` runs on freshly built schedulers).  ``linear`` times
+    the :func:`make_linear_reference` build instead of the shipped
+    scheduler.  ``tracer_factory`` (one fresh tracer per repetition)
+    turns on event emission for the timed region; the default ``None``
+    measures the shipped disabled path.
     """
     if ops is None:
         ops = _default_ops(num_tenants)
@@ -158,13 +198,11 @@ def measure_dequeue_throughput(
     best = float("inf")
     timer = Timer(f"hotpath.{scheduler_name}.{num_tenants}")
     scheduler = None
+    build: Callable[[str, int, float], Scheduler] = (
+        make_linear_reference if linear else make_scheduler
+    )
     for _ in range(max(1, repeats)):
-        scheduler = make_scheduler(
-            scheduler_name,
-            num_threads=num_threads,
-            thread_rate=thread_rate,
-            indexed=indexed,
-        )
+        scheduler = build(scheduler_name, num_threads, thread_rate)
         if tracer_factory is not None:
             scheduler.attach_tracer(tracer_factory())
         initial = _build_backlog(scheduler_name, num_tenants, seed)
@@ -194,9 +232,7 @@ def measure_dequeue_throughput(
         "scheduler": scheduler_name,
         "tenants": num_tenants,
         "threads": num_threads,
-        "indexed": indexed,
-        "selection_mode": getattr(scheduler, "selection_mode", "linear"),
-        "index_active": bool(getattr(scheduler, "indexed", False)),
+        "linear": linear,
         "ops": ops,
         "seconds": best,
         "rps": ops / best if best > 0 else float("inf"),
@@ -221,34 +257,30 @@ def measure_paired_cell(
     ops: Optional[int] = None,
     seed: int = 0,
     repeats: int = 2,
-    modes: Sequence[Union[bool, str]] = (True, False, "auto"),
-) -> Tuple[Dict[Union[bool, str], Dict], Dict[Union[bool, str], List[float]]]:
-    """Measure one (scheduler, backlog) cell in every selection mode,
-    with repetitions interleaved across modes and the allocator
-    perturbed between builds.
+) -> Tuple[Dict[str, Dict], List[float]]:
+    """Measure one (scheduler, backlog) cell as shipped and on its linear
+    reference, with repetitions interleaved between the two and the
+    allocator perturbed between builds.
 
-    Timing each mode in its own best-of-k session is biased: the
+    Timing each build in its own best-of-k session is biased: the
     identical build sequence lands the hot dicts at the same arena
     offsets every repetition, so two sessions running byte-identical
     code can differ by 10-20% *consistently* -- drift that best-of-k
-    cannot average away (measured here: sequential best-of-20 put
-    auto/linear at 0.86x for one policy and 1.23x for another when the
-    two modes execute the same instructions).  Interleaving the modes
-    and holding a pseudorandom-length pad alive across each
-    measurement decorrelates the layouts, and per-repetition *paired*
-    ratios against the linear reference cancel whatever session drift
-    remains.
+    cannot average away.  Interleaving the builds and holding a
+    pseudorandom-length pad alive across each measurement decorrelates
+    the layouts, and per-repetition *paired* ratios cancel whatever
+    session drift remains.
 
-    Returns ``(cells, ratios)``: per-mode records as produced by
-    :func:`measure_dequeue_throughput` (``rps`` = best of ``repeats``)
-    and, for every non-reference mode, the per-repetition rps ratio
-    against ``False`` (the linear reference).
+    Returns ``(cells, ratios)``: ``cells["indexed"]`` and
+    ``cells["linear"]`` as produced by :func:`measure_dequeue_throughput`
+    (``rps`` = best of ``repeats``), and the per-repetition rps ratio of
+    the shipped index against the linear reference.
     """
     rng = make_rng(seed, "hotpath-layout", scheduler_name, str(num_tenants))
-    samples: Dict[Union[bool, str], List[float]] = {mode: [] for mode in modes}
-    cells: Dict[Union[bool, str], Dict] = {}
+    samples: Dict[str, List[float]] = {"indexed": [], "linear": []}
+    cells: Dict[str, Dict] = {}
     for _ in range(max(1, repeats)):
-        for mode in modes:
+        for mode in ("indexed", "linear"):
             pad = [0] * int(rng.integers(*_JITTER_PAD_RANGE))
             record = measure_dequeue_throughput(
                 scheduler_name,
@@ -256,7 +288,7 @@ def measure_paired_cell(
                 num_threads=num_threads,
                 ops=ops,
                 seed=seed,
-                indexed=mode,
+                linear=mode == "linear",
                 repeats=1,
             )
             del pad
@@ -264,149 +296,11 @@ def measure_paired_cell(
             prev = cells.get(mode)
             if prev is None or record["rps"] > prev["rps"]:
                 cells[mode] = record
-    ratios = {
-        mode: [
-            rps / ref if ref else float("inf")
-            for rps, ref in zip(samples[mode], samples[False])
-        ]
-        for mode in modes
-        if mode is not False
-    }
+    ratios = [
+        rps / ref if ref else float("inf")
+        for rps, ref in zip(samples["indexed"], samples["linear"])
+    ]
     return cells, ratios
-
-
-def measure_adaptive_crossover(
-    scheduler_name: str,
-    tenant_counts: Sequence[int] = (2, 4, 8, 16, 24, 32, 48, 64),
-    num_threads: int = 4,
-    ops: Optional[int] = None,
-    seed: int = 0,
-    repeats: int = 2,
-) -> Dict:
-    """Locate the backlog size where the index starts winning.
-
-    Measures forced-indexed vs linear throughput over a sweep of small
-    backlog sizes and reports the smallest N where the index is at
-    least break-even -- the empirical basis for the adaptive policy's
-    ``AUTO_INDEX_HIGH``/``AUTO_INDEX_LOW`` thresholds (which sit above
-    the slowest policy's crossover with a 2x hysteresis band; see
-    ``VirtualTimeScheduler``).
-    """
-    rows: List[Dict] = []
-    crossover: Optional[int] = None
-    for num_tenants in tenant_counts:
-        indexed = measure_dequeue_throughput(
-            scheduler_name,
-            num_tenants,
-            num_threads=num_threads,
-            ops=ops,
-            seed=seed,
-            indexed=True,
-            repeats=repeats,
-        )
-        linear = measure_dequeue_throughput(
-            scheduler_name,
-            num_tenants,
-            num_threads=num_threads,
-            ops=ops,
-            seed=seed,
-            indexed=False,
-            repeats=repeats,
-        )
-        ratio = indexed["rps"] / linear["rps"] if linear["rps"] else float("inf")
-        rows.append(
-            {
-                "tenants": num_tenants,
-                "indexed_rps": round(float(indexed["rps"]), 1),
-                "linear_rps": round(float(linear["rps"]), 1),
-                "ratio": round(float(ratio), 3),
-            }
-        )
-        if crossover is None and ratio >= 1.0:
-            crossover = num_tenants
-    scheduler = make_scheduler(scheduler_name, num_threads=num_threads)
-    return {
-        "scheduler": scheduler_name,
-        "rows": rows,
-        "crossover_tenants": crossover,
-        "auto_high": getattr(type(scheduler), "AUTO_INDEX_HIGH", None),
-        "auto_low": getattr(type(scheduler), "AUTO_INDEX_LOW", None),
-    }
-
-
-def measure_batch_dispatch(
-    scheduler_name: str = "2dfq",
-    num_tenants: int = 100,
-    batch_sizes: Sequence[int] = (1, 2, 4, 8),
-    ops: Optional[int] = None,
-    seed: int = 0,
-    repeats: int = 2,
-) -> Dict:
-    """Batch-size ablation: ``dequeue_batch(k)`` cycles vs ``k=1``.
-
-    For each batch size ``k`` the timed loop pulls ``k`` requests in one
-    ``dequeue_batch`` call (the pool-drain path ``ThreadPoolServer``
-    takes when several workers free simultaneously), then completes and
-    replaces each -- so every cell performs the same number of
-    dispatches and only the per-call overhead varies.  ``ratio`` is
-    throughput relative to the ``k=1`` cell.
-    """
-    if ops is None:
-        ops = _default_ops(num_tenants)
-    rng = make_rng(seed, "hotpath-batch", scheduler_name, str(num_tenants))
-    replacement_costs = 10.0 ** rng.uniform(0.0, 4.0, ops)
-    num_threads = max(batch_sizes)
-    rows: List[Dict] = []
-    for k in batch_sizes:
-        thread_ids = list(range(k))
-        best = float("inf")
-        timer = Timer(f"hotpath-batch.{scheduler_name}.{k}")
-        for _ in range(max(1, repeats)):
-            scheduler = make_scheduler(
-                scheduler_name, num_threads=num_threads, thread_rate=1.0
-            )
-            for request in _build_backlog(scheduler_name, num_tenants, seed):
-                scheduler.enqueue(request, 0.0)
-            replacements = [
-                Request(tenant_id="", cost=float(cost))
-                for cost in replacement_costs
-            ]
-            dequeue_batch = scheduler.dequeue_batch
-            complete = scheduler.complete
-            enqueue = scheduler.enqueue
-            dt = 1e-4
-            now = 0.0
-            cycles = ops // k
-            with quiesced_gc(), timer:
-                cursor = 0
-                for _cycle in range(cycles):
-                    now += dt
-                    batch = dequeue_batch(thread_ids, now)
-                    for out in batch:
-                        complete(out, out.cost, now)
-                        replacement = replacements[cursor]
-                        cursor += 1
-                        replacement.tenant_id = out.tenant_id
-                        replacement.api = out.api
-                        enqueue(replacement, now)
-            best = min(best, timer.last)
-        dispatches = (ops // k) * k
-        rows.append(
-            {
-                "batch_size": k,
-                "ops": dispatches,
-                "rps": round(dispatches / best, 1) if best > 0 else float("inf"),
-            }
-        )
-    base_rps = rows[0]["rps"] or 1.0
-    for row in rows:
-        row["ratio"] = round(row["rps"] / base_rps, 3)
-    return {
-        "scheduler": scheduler_name,
-        "tenants": num_tenants,
-        "threads": num_threads,
-        "rows": rows,
-    }
 
 
 def _audited_tracer(scheduler_name: str, num_threads: int) -> Tracer:
@@ -488,15 +382,15 @@ def run_hotpath_suite(
     seed: int = 0,
     repeats: int = 2,
 ) -> Dict:
-    """Measure every (scheduler, backlog size) cell in both selection
-    modes and return the comparison table as a JSON-ready dict."""
+    """Measure every (scheduler, backlog size) cell as shipped and on
+    its linear reference and return the comparison table as a
+    JSON-ready dict."""
     rows: List[Dict] = []
     for num_tenants in tenant_counts:
         for name in schedulers:
-            # Below the adaptive threshold auto and linear execute the
-            # same instructions, so the cells are pure noise floor --
-            # and cheap (tens of ms each).  Spend extra interleaved
-            # repetitions there so the paired estimate converges.
+            # Small-N cells are cheap (tens of ms each) and their ratio
+            # sits near 1, so they get extra interleaved repetitions for
+            # the paired estimate to converge.
             cell_repeats = repeats if num_tenants > 10 else max(4 * repeats, 12)
             cells, ratios = measure_paired_cell(
                 name,
@@ -506,7 +400,7 @@ def run_hotpath_suite(
                 seed=seed,
                 repeats=cell_repeats,
             )
-            indexed, linear, auto = cells[True], cells[False], cells["auto"]
+            indexed, linear = cells["indexed"], cells["linear"]
             stats = indexed.get("index_stats", {})
             rows.append(
                 {
@@ -516,22 +410,13 @@ def run_hotpath_suite(
                     "ops": indexed["ops"],
                     "indexed_rps": round(indexed["rps"], 1),
                     "linear_rps": round(linear["rps"], 1),
-                    "auto_rps": round(auto["rps"], 1),
-                    # The headline speedup is what the *shipped default*
-                    # buys over the linear reference; the forced-index
-                    # ratio rides along for the crossover trajectory.
-                    # Both are the best paired per-repetition ratio --
-                    # pairing cancels the arena-layout session drift
-                    # that biases a ratio of independent best-of runs
-                    # (see measure_paired_cell).
-                    "speedup": round(max(ratios["auto"]), 2),
-                    "indexed_speedup": round(max(ratios[True]), 2),
-                    # Which side of the adaptive threshold this backlog
-                    # size landed on ("linear" below, "indexed" above).
-                    "auto_index_active": auto["index_active"],
-                    # SelectionIndex lazy-invalidation churn for the
-                    # forced-indexed run (absolute counts over ``ops``
-                    # cycles).
+                    # Best paired per-repetition ratio -- pairing cancels
+                    # the arena-layout session drift that biases a ratio
+                    # of independent best-of runs (see
+                    # measure_paired_cell).
+                    "speedup": round(max(ratios), 2),
+                    # SelectionIndex lazy-invalidation churn of the
+                    # shipped run (absolute counts over ``ops`` cycles).
                     "stale_pops": stats.get("stale_pops", 0),
                     "heap_rebuilds": stats.get("rebuilds", 0),
                     "heap_pushes": stats.get("pushes", 0),
@@ -549,17 +434,16 @@ def run_hotpath_suite(
             "note": (
                 "rps = full dispatch cycles (dequeue+complete+enqueue) per "
                 "wallclock second with N tenants continuously backlogged, "
-                "per selection mode (linear reference / forced index / "
-                "adaptive auto default); repetitions are interleaved "
-                "across modes with the allocator perturbed between "
-                "builds, and speedup / indexed_speedup are the best "
-                "paired per-repetition rps ratio of auto / forced-index "
-                "against the linear reference (pairing cancels arena-"
-                "layout session drift; small-N cells run extra "
-                "repetitions); stale_pops/"
-                "heap_rebuilds/heap_pushes/index_touches = SelectionIndex "
-                "lazy-invalidation churn of the forced-indexed run; no "
-                "tracer attached (disabled-tracing default)"
+                "for each indexed policy as shipped (indexed_rps) and on "
+                "its linear-scan reference (linear_rps); repetitions are "
+                "interleaved between the two with the allocator "
+                "perturbed between builds, and speedup is the best "
+                "paired per-repetition indexed/linear rps ratio "
+                "(pairing cancels arena-layout session drift; small-N "
+                "cells run extra repetitions); stale_pops/heap_rebuilds/"
+                "heap_pushes/index_touches = SelectionIndex "
+                "lazy-invalidation churn of the shipped run; no tracer "
+                "attached (disabled-tracing default)"
             ),
         },
         "results": rows,
@@ -570,16 +454,13 @@ def format_results(payload: Dict) -> str:
     """Render the suite results as an aligned text table."""
     lines = [
         f"{'scheduler':<10} {'tenants':>7} {'linear rps':>12} "
-        f"{'indexed rps':>12} {'auto rps':>12} {'auto mode':>9} "
-        f"{'speedup':>8} {'stale pops':>11} {'rebuilds':>9}"
+        f"{'indexed rps':>12} {'speedup':>8} {'stale pops':>11} "
+        f"{'rebuilds':>9}"
     ]
     for row in payload["results"]:
-        auto_mode = "indexed" if row.get("auto_index_active") else "linear"
         lines.append(
             f"{row['scheduler']:<10} {row['tenants']:>7} "
             f"{row['linear_rps']:>12.1f} {row['indexed_rps']:>12.1f} "
-            f"{row.get('auto_rps', row['indexed_rps']):>12.1f} "
-            f"{auto_mode:>9} "
             f"{row['speedup']:>7.2f}x {row.get('stale_pops', 0):>11} "
             f"{row.get('heap_rebuilds', 0):>9}"
         )

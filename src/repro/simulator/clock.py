@@ -14,37 +14,16 @@ from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
 from ..units import Duration, SimTime
-from .events import CalendarEventQueue, EventHandle, EventQueue
+from .events import EventHandle, EventQueue
 
 __all__ = ["Simulation"]
 
-#: Event-queue implementations selectable per simulation.  Both are
-#: pop-order identical (differentially tested); the calendar queue wins
-#: once pending events reach the hundreds of thousands, the heap below.
-_EVENT_QUEUES = {"heap": EventQueue, "calendar": CalendarEventQueue}
-
 
 class Simulation:
-    """Discrete-event simulation loop.
+    """Discrete-event simulation loop."""
 
-    Parameters
-    ----------
-    event_queue:
-        ``"heap"`` (the default binary heap) or ``"calendar"`` (the
-        bucketed calendar queue for very large pending-event counts);
-        see :mod:`repro.simulator.events`.  Results are bit-identical
-        either way -- this is purely a throughput knob, surfaced as
-        ``ExperimentConfig.event_queue``.
-    """
-
-    def __init__(self, event_queue: str = "heap") -> None:
-        queue_cls = _EVENT_QUEUES.get(event_queue)
-        if queue_cls is None:
-            raise SimulationError(
-                f"event_queue must be one of {sorted(_EVENT_QUEUES)}, "
-                f"got {event_queue!r}"
-            )
-        self._queue = queue_cls()
+    def __init__(self) -> None:
+        self._queue = EventQueue()
         self._now: SimTime = 0.0
         self._running = False
         self._stopped = False

@@ -189,7 +189,6 @@ CALLABLE_PARAM_DIMS: Dict[str, Tuple[Tuple[str, Optional[str]], ...]] = {
     # arguments; those hooks are checked through real method summaries
     # at self-call sites instead).
     "dequeue": (("thread_id", None), ("now", "sim_time")),
-    "dequeue_batch": (("thread_ids", None), ("now", "sim_time")),
     "refresh": (("request", None), ("usage", "cost"), ("now", "sim_time")),
 }
 

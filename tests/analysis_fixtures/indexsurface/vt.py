@@ -1,8 +1,4 @@
-"""RPR022 fixture: indexed-selection pairing below the framework root.
-
-Every ``dequeue`` override here references ``self._trace`` so the
-fixture stays silent under RPR021 -- the violations are RPR022's alone.
-"""
+"""RPR022 fixture: indexed-selection pairing below the framework root."""
 
 
 class VirtualTimeScheduler:
@@ -13,14 +9,6 @@ class VirtualTimeScheduler:
 
     def _select_indexed(self, thread_id, vnow):
         raise NotImplementedError
-
-    def dequeue(self, thread_id, now):
-        if self._trace is not None:
-            self._trace.dispatch(now)
-        return None
-
-    def dequeue_batch(self, thread_ids, now):
-        return [self.dequeue(thread_id, now) for thread_id in thread_ids]
 
 
 class IndexedScheduler(VirtualTimeScheduler):
@@ -43,29 +31,8 @@ class InheritedIndexScheduler(IndexedScheduler):
 class HalfIndexedScheduler(VirtualTimeScheduler):
     """Violation: advertises a spec, inherits only the root's stub."""
 
-    def _index_spec(self):  # line 46: RPR022 (no _select_indexed)
+    def _index_spec(self):  # line 34: RPR022 (no _select_indexed)
         return {"finish": True}
-
-
-class CustomDequeueScheduler(VirtualTimeScheduler):
-    """Violation: new dequeue policy, stale inherited batch path."""
-
-    def dequeue(self, thread_id, now):  # line 53: RPR022 (no dequeue_batch)
-        if self._trace is not None:
-            self._trace.dispatch(now)
-        return "different policy"
-
-
-class PairedDequeueScheduler(VirtualTimeScheduler):
-    """Compliant: the dequeue override ships its batch counterpart."""
-
-    def dequeue(self, thread_id, now):
-        if self._trace is not None:
-            self._trace.dispatch(now)
-        return "policy"
-
-    def dequeue_batch(self, thread_ids, now):
-        return [self.dequeue(thread_id, now) for thread_id in thread_ids]
 
 
 class OutsideFramework:
@@ -73,6 +40,3 @@ class OutsideFramework:
 
     def _index_spec(self):
         return {"finish": True}
-
-    def dequeue(self, thread_id, now):
-        return None

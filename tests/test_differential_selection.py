@@ -1,15 +1,20 @@
 """Differential tests: indexed selection == linear-scan selection.
 
-The O(log N) selection index (repro.core.selection) must be
-*dispatch-for-dispatch identical* to the reference linear scans -- same
-tenants, same order, on every scheduler, under both estimator families.
-These tests run the two modes side by side:
+Every policy that ships a selection index (repro.core.selection) must be
+*dispatch-for-dispatch identical* to its reference linear scans -- same
+tenants, same order, under every estimator family.  The reference is
+``make_linear_reference``: the same class with ``_index_spec`` returning
+``None``, the route external subclasses take.  These tests run the two
+side by side:
 
 * on seeded Azure-like workloads through the real simulator (server,
   refresh charging, open-loop arrival traces);
 * on seeded random workloads (random weights, arrival times, APIs and
   costs) through a direct scheduler driver with interleaved refreshes --
-  a property-style loop over many seeds and all eight schedulers.
+  a property-style loop over seeds, backlog sizes and pool shapes.
+
+2DFQ and 2DFQ^E ship the linear scan only; they are pinned to build no
+index and run through the same drivers as a consistency check.
 """
 
 from __future__ import annotations
@@ -20,16 +25,30 @@ import pytest
 
 from repro.core import make_scheduler
 from repro.core.request import Request
+from repro.perf.hotpath import make_linear_reference
 from repro.simulator.clock import Simulation
 from repro.simulator.rng import make_rng
 from repro.simulator.server import ThreadPoolServer
 from repro.workloads.azure import random_tenants
 from repro.workloads.build import attach_specs
 
-#: Every virtual-time scheduler with an indexed path, covering all three
-#: estimator families: oracle (plain names), pessimistic (2dfq-e), and
-#: EMA (wf2q-e / sfq-e).
+#: Every virtual-time scheduler, covering all three estimator families:
+#: oracle (plain names), pessimistic (2dfq-e), and EMA (wf2q-e).
 ALL_EIGHT = ["wfq", "sfq", "wf2q", "wf2q+", "msf2q", "2dfq", "2dfq-e", "wf2q-e"]
+
+#: Every policy that ships a selection index, plus its EMA-estimated
+#: ``-e`` variant where the registry has one.
+INDEXED = [
+    "wfq", "wfq-e", "sfq", "sfq-e", "wf2q", "wf2q-e", "wf2q+", "msf2q", "msf2q-e",
+]
+
+
+def shipped_and_reference(name, num_threads, thread_rate=10.0):
+    """The registered scheduler and its linear-scan reference."""
+    return (
+        make_scheduler(name, num_threads=num_threads, thread_rate=thread_rate),
+        make_linear_reference(name, num_threads, thread_rate),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +96,7 @@ def drive_trace(scheduler, requests, num_threads, rate=10.0, refresh_every=3):
     return order
 
 
-def random_timed_requests(seed, num_tenants=6, count=150):
+def random_timed_requests(seed, num_tenants=6, count=150, gap=0.08):
     """Seeded (arrival_time, Request) list with random weights, APIs,
     costs, and bursty arrival times."""
     rng = make_rng(seed, "differential")
@@ -88,7 +107,7 @@ def random_timed_requests(seed, num_tenants=6, count=150):
     requests = []
     now = 0.0
     for _ in range(count):
-        now += float(rng.exponential(0.08))
+        now += float(rng.exponential(gap))
         tenant = f"T{int(rng.integers(num_tenants))}"
         requests.append(
             (
@@ -124,12 +143,34 @@ class TestDifferentialDirect:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_indexed_matches_linear_scan(self, name, seed):
         trace = random_timed_requests(seed)
-        linear = make_scheduler(name, num_threads=3, thread_rate=10.0, indexed=False)
-        indexed = make_scheduler(name, num_threads=3, thread_rate=10.0, indexed=True)
-        assert not linear.indexed and indexed.indexed
+        shipped, linear = shipped_and_reference(name, num_threads=3)
+        assert linear.selection_index is None
+        order_shipped = drive_trace(shipped, rebuild(trace), num_threads=3)
         order_linear = drive_trace(linear, rebuild(trace), num_threads=3)
-        order_indexed = drive_trace(indexed, rebuild(trace), num_threads=3)
-        assert order_linear == order_indexed
+        assert order_linear == order_shipped
+        assert len(order_linear) == len(trace)
+
+    @pytest.mark.parametrize("num_threads", [1, 3, 16])
+    @pytest.mark.parametrize("num_tenants", [2, 10, 100])
+    @pytest.mark.parametrize("name", INDEXED)
+    def test_indexed_matches_linear_across_backlogs(
+        self, name, num_tenants, num_threads
+    ):
+        """Small backlogs included: every indexed policy runs its index
+        at any backlog size, so N = 2 and 10 are as load-bearing as the
+        large cells."""
+        # Arrivals outpace the pool, so every tenant ends up backlogged.
+        trace = random_timed_requests(
+            num_tenants + num_threads,
+            num_tenants=num_tenants,
+            count=max(60, 4 * num_tenants),
+            gap=0.5 / num_threads,
+        )
+        shipped, linear = shipped_and_reference(name, num_threads)
+        assert shipped.selection_index is not None
+        order_shipped = drive_trace(shipped, rebuild(trace), num_threads=num_threads)
+        order_linear = drive_trace(linear, rebuild(trace), num_threads=num_threads)
+        assert order_linear == order_shipped
         assert len(order_linear) == len(trace)
 
     @pytest.mark.parametrize("name", ["2dfq", "wf2q", "sfq-e", "msf2q-e"])
@@ -138,12 +179,10 @@ class TestDifferentialDirect:
         threads than tenants."""
         for num_threads in (1, 8):
             trace = random_timed_requests(11, num_tenants=4, count=80)
-            runs = []
-            for indexed in (False, True):
-                s = make_scheduler(
-                    name, num_threads=num_threads, thread_rate=10.0, indexed=indexed
-                )
-                runs.append(drive_trace(s, rebuild(trace), num_threads=num_threads))
+            runs = [
+                drive_trace(s, rebuild(trace), num_threads=num_threads)
+                for s in shipped_and_reference(name, num_threads)
+            ]
             assert runs[0] == runs[1]
 
 
@@ -151,15 +190,11 @@ class TestDifferentialAzureSimulator:
     """Side-by-side runs through the real simulator on seeded Azure-like
     open-loop workloads (refresh charging on, trace arrivals)."""
 
-    def _dispatch_sequence(self, scheduler_name, indexed, seed):
+    def _dispatch_sequence(self, scheduler_name, linear, seed):
         sim = Simulation()
         num_threads, rate = 4, 2.0e5
-        scheduler = make_scheduler(
-            scheduler_name,
-            num_threads=num_threads,
-            thread_rate=rate,
-            indexed=indexed,
-        )
+        build = make_linear_reference if linear else make_scheduler
+        scheduler = build(scheduler_name, num_threads, rate)
         server = ThreadPoolServer(
             sim, scheduler, num_threads=num_threads, rate=rate, refresh_interval=0.01
         )
@@ -174,10 +209,12 @@ class TestDifferentialAzureSimulator:
         sim.run(until=4.0)
         return dispatches
 
-    @pytest.mark.parametrize("name", ["2dfq", "2dfq-e", "wf2q", "wfq", "wf2q-e"])
+    @pytest.mark.parametrize(
+        "name", ["wf2q", "wfq", "wf2q-e", "sfq", "msf2q", "wf2q+"]
+    )
     def test_identical_dispatch_sequences(self, name):
-        linear = self._dispatch_sequence(name, indexed=False, seed=42)
-        indexed = self._dispatch_sequence(name, indexed=True, seed=42)
+        linear = self._dispatch_sequence(name, linear=True, seed=42)
+        indexed = self._dispatch_sequence(name, linear=False, seed=42)
         assert len(linear) > 100, "workload too small to be meaningful"
         assert linear == indexed
 
@@ -186,7 +223,7 @@ class TestIndexMechanics:
     def test_heap_sizes_stay_bounded(self):
         """Lazy invalidation must not leak: after many dispatch cycles
         the heaps stay O(backlogged tenants), not O(total dispatches)."""
-        s = make_scheduler("2dfq", num_threads=4, thread_rate=1.0)
+        s = make_scheduler("wf2q", num_threads=4, thread_rate=1.0)
         num_tenants = 50
         for i in range(num_tenants):
             for _ in range(2):
@@ -213,106 +250,16 @@ class TestIndexMechanics:
                 return self._min_finish(self._backlogged.values())
 
         s = MySched(num_threads=1)
-        assert not s.indexed
+        assert s.selection_index is None
         s.enqueue(Request(tenant_id="A", cost=1.0), 0.0)
         s.enqueue(Request(tenant_id="B", cost=2.0), 0.0)
         assert s.dequeue(0, 0.0).tenant_id == "A"
         assert s.dequeue(0, 0.0).tenant_id == "B"
 
-    def test_indexed_flag_default_and_off(self):
-        # Default is adaptive: the index only materializes once the
-        # backlog crosses AUTO_INDEX_HIGH.
-        auto = make_scheduler("wf2q", num_threads=2)
-        assert auto.selection_mode == "auto"
-        assert not auto.indexed
-        forced = make_scheduler("wf2q", num_threads=2, indexed=True)
-        assert forced.selection_mode == "indexed"
-        assert forced.indexed
-        linear = make_scheduler("wf2q", num_threads=2, indexed=False)
-        assert linear.selection_mode == "linear"
-        assert not linear.indexed
-
-
-def ramped_trace(seed, num_tenants=40, bursts=2, per_burst=80):
-    """Bursty trace engineered to cross both adaptive thresholds: each
-    burst backs up every tenant at once (backlog >> AUTO_INDEX_HIGH),
-    then a long silence lets the pool drain below AUTO_INDEX_LOW."""
-    rng = make_rng(seed, "adaptive-ramp")
-    requests = []
-    now = 0.0
-    for _ in range(bursts):
-        for i in range(per_burst):
-            requests.append(
-                (
-                    now,
-                    Request(
-                        tenant_id=f"T{i % num_tenants}",
-                        cost=float(10.0 ** rng.uniform(-0.5, 1.0)),
-                        api=str(rng.choice(["A", "B"])),
-                    ),
-                )
-            )
-        now += 60.0
-    return requests
-
-
-class TestAdaptiveSelection:
-    """The ``indexed="auto"`` default: linear below the crossover, the
-    O(log N) index above, with hysteresis between the two thresholds."""
-
-    def test_activation_and_deactivation_edges(self):
-        s = make_scheduler("2dfq", num_threads=4, thread_rate=10.0)
-        high, low = type(s).AUTO_INDEX_HIGH, type(s).AUTO_INDEX_LOW
-        assert high > low > 0
-        for i in range(high - 1):
-            s.enqueue(Request(tenant_id=f"t{i}", cost=1.0), 0.0)
-        assert not s.indexed  # one short of the rising edge
-        s.enqueue(Request(tenant_id=f"t{high - 1}", cost=1.0), 0.0)
-        assert s.indexed  # exactly HIGH backlogged tenants
-        # Deeper enqueues on an existing tenant never re-test anything.
-        s.enqueue(Request(tenant_id="t0", cost=1.0), 0.0)
-        assert s.indexed
-        # Drain: hysteresis keeps the index alive until the backlog
-        # falls to LOW *at dequeue entry*.
-        now, i = 0.0, 0
-        while len(s._backlogged) > low:
-            request = s.dequeue(i % 4, now)
-            s.complete(request, request.cost, now)
-            now += 0.2
-            i += 1
-        assert s.indexed  # at LOW+0: the falling edge fires on dequeue
-        request = s.dequeue(i % 4, now)
-        s.complete(request, request.cost, now)
-        assert not s.indexed
-        assert s.selection_mode == "auto"
-        # Re-activation from scratch on the next rising edge.
-        for j in range(2 * high):
-            s.enqueue(Request(tenant_id=f"r{j}", cost=1.0), now)
-        assert s.indexed
-
-    @pytest.mark.parametrize("name", ["2dfq", "wf2q+", "2dfq-e"])
-    def test_auto_identical_across_transitions(self, name):
-        """A trace that ramps the backlog over HIGH and back under LOW
-        (twice) dispatches identically in all three selection modes --
-        and the auto run really does transition both ways."""
-        trace = ramped_trace(5)
-        orders = {}
-        transitions = []
-        for mode in (False, True, "auto"):
-            s = make_scheduler(
-                name, num_threads=4, thread_rate=10.0, indexed=mode
-            )
-            if mode == "auto":
-                real_activate = s._activate_index
-
-                def spy():
-                    transitions.append("up")
-                    real_activate()
-
-                s._activate_index = spy
-            orders[mode] = drive_trace(s, rebuild(trace), num_threads=4)
-            if mode == "auto":
-                assert not s.indexed  # drained => torn back down
-        assert orders[False] == orders[True] == orders["auto"]
-        assert len(orders[False]) == len(trace)
-        assert len(transitions) >= 2, "auto mode never activated"
+    def test_index_built_at_construction(self):
+        """One selection path per policy: the indexed policies build
+        their index up front, 2DFQ and 2DFQ^E never build one."""
+        for name in INDEXED:
+            assert make_scheduler(name, num_threads=2).selection_index is not None
+        for name in ("2dfq", "2dfq-e"):
+            assert make_scheduler(name, num_threads=2).selection_index is None

@@ -29,7 +29,6 @@ from repro.metrics import MetricsCollector
 from repro.metrics.streaming import (
     BoundedServiceSeries,
     MetricsPartial,
-    P2Quantile,
     QuantileDigest,
     ReservoirSample,
     RingBuffer,
@@ -152,47 +151,6 @@ class TestQuantileDigest:
             digest.add(1.0, weight=0.0)
         with pytest.raises(ConfigurationError):
             QuantileDigest(compression=2)
-
-
-class TestP2Quantile:
-    def test_tracks_median(self):
-        rng = make_rng(6, "p2")
-        values = rng.normal(10.0, 3.0, size=20000)
-        sketch = P2Quantile(0.5)
-        for v in values:
-            sketch.add(float(v))
-        assert sketch.value() == pytest.approx(
-            float(np.percentile(values, 50)), rel=0.05
-        )
-
-    def test_tiny_stream_uses_exact_buffer(self):
-        sketch = P2Quantile(0.5)
-        for v in (3.0, 1.0, 2.0):
-            sketch.add(v)
-        assert sketch.value() == pytest.approx(2.0)
-
-    def test_merge_approximates_union(self):
-        rng = make_rng(7, "p2")
-        left_values = rng.random(5000)
-        right_values = rng.random(5000) + 0.5
-        left, right = P2Quantile(0.9), P2Quantile(0.9)
-        for v in left_values:
-            left.add(float(v))
-        for v in right_values:
-            right.add(float(v))
-        merged = left.merge(right)
-        union = np.concatenate([left_values, right_values])
-        assert merged.count == 10000
-        assert merged.value() == pytest.approx(
-            float(np.percentile(union, 90)), rel=0.1
-        )
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            P2Quantile(0.0)
-        with pytest.raises(ConfigurationError):
-            P2Quantile(0.5).merge(P2Quantile(0.9))
-        assert np.isnan(P2Quantile(0.5).value())
 
 
 class TestReservoirSample:

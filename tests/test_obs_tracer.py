@@ -285,8 +285,7 @@ class TestInstrumentedRun:
         assert select.data["policy"] == "2dfq"
         assert select.data["stagger"] == pytest.approx(0.5)
         assert select.data["backlogged"] == 2
-        # Two backlogged tenants sit below the adaptive crossover, so
-        # the default "auto" mode runs the linear scan here.
+        # 2DFQ selects with its linear scan; it never builds an index.
         assert select.data["indexed"] is False
         assert isinstance(select.data["fallback"], bool)
 

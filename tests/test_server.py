@@ -137,11 +137,3 @@ class TestValidation:
             ThreadPoolServer(
                 sim, scheduler, num_threads=1, refresh_interval=-0.1
             )
-
-    def test_invalid_dispatch_order(self):
-        sim = Simulation()
-        scheduler = FIFOScheduler(num_threads=1)
-        with pytest.raises(ConfigurationError):
-            ThreadPoolServer(
-                sim, scheduler, num_threads=1, dispatch_order="random"
-            )
