@@ -101,7 +101,7 @@ def _format_observability(section):
 #: Manifest sections owned by *other* bench modules, carried over when
 #: this module rewrites the manifest (write_manifest replaces the file
 #: wholesale).
-PRESERVED_SECTIONS = ("parallel_engine", "metrics_streaming", "analysis", "fleet")
+PRESERVED_SECTIONS = ("parallel_engine", "analysis", "fleet")
 
 
 def test_bench_perf_hotpath(benchmark, capsys):

@@ -56,12 +56,6 @@ class ExperimentConfig:
         Wrap every run's scheduler in the
         :class:`~repro.validate.ValidatingScheduler` invariant watchdog
         (also switchable process-wide via ``REPRO_VALIDATE=1``).
-    metrics_mode:
-        ``"exact"`` (default: every sample kept, bit-identical to the
-        historical collector) or ``"streaming"`` (bounded-memory
-        sketches for long runs -- DESIGN.md §13).  Part of the config,
-        hence of run-cache keys: the two modes produce different result
-        objects.
     """
 
     name: str
@@ -78,7 +72,6 @@ class ExperimentConfig:
     record_dispatches: bool = True
     fault_plan: Optional[FaultPlan] = None
     validate: bool = False
-    metrics_mode: str = "exact"
 
     def __post_init__(self) -> None:
         if isinstance(self.fault_plan, dict):
@@ -96,11 +89,6 @@ class ExperimentConfig:
         if self.warmup < 0 or self.warmup >= self.duration:
             raise ConfigurationError(
                 f"warmup must be in [0, duration), got {self.warmup}"
-            )
-        if self.metrics_mode not in ("exact", "streaming"):
-            raise ConfigurationError(
-                f"metrics_mode must be 'exact' or 'streaming', "
-                f"got {self.metrics_mode!r}"
             )
 
     @property

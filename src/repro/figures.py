@@ -101,21 +101,17 @@ __all__ = ["main", "FIGURES"]
 
 
 def _flagged(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    """Apply the ``--faults`` / ``--validate`` / ``--metrics`` flags to
-    a figure config.
+    """Apply the ``--faults`` / ``--validate`` flags to a figure config.
 
     With no flag set the config object is returned unchanged, so
     default invocations execute exactly the pre-flag configurations
-    (the differential CLI tests pin this).
+    (``TestFlaggedConfig`` in the figures CLI tests pins this).
     """
     plan = getattr(args, "fault_plan_obj", None)
     validate = bool(getattr(args, "validate", False))
-    metrics_mode = getattr(args, "metrics", "exact")
-    if plan is None and not validate and metrics_mode == "exact":
+    if plan is None and not validate:
         return config
-    return dataclasses.replace(
-        config, fault_plan=plan, validate=validate, metrics_mode=metrics_mode
-    )
+    return dataclasses.replace(config, fault_plan=plan, validate=validate)
 
 
 def fig01(args: argparse.Namespace) -> str:
@@ -356,12 +352,6 @@ def main(argv=None) -> int:
         help="fleet routing policy for figfleet's mode comparison "
         "(default round-robin, the health-oblivious baseline; the "
         "ablation table always sweeps every policy)",
-    )
-    parser.add_argument(
-        "--metrics", choices=("exact", "streaming"), default="exact",
-        help="metrics collection mode: 'exact' keeps every sample "
-        "(default); 'streaming' collects into bounded-memory sketches "
-        "for long runs (DESIGN.md §13; <1%% p50/p99 latency error)",
     )
     args = parser.parse_args(argv)
     args.fault_plan_obj = FaultPlan.load(args.faults) if args.faults else None

@@ -5,30 +5,14 @@
 * request **latency** percentiles (focus on the 99th);
 * the **Gini index** of instantaneous fairness.
 
-Two collection modes: ``exact`` (every sample kept, the default) and
-``streaming`` (bounded-memory sketches from :mod:`repro.metrics.streaming`
-for 10M-request-scale runs) -- DESIGN.md §13.
+One exact collector computes all of them from every sample
+(DESIGN.md §13).
 """
 
-from .collector import (
-    COLLECTOR_MODES,
-    DispatchRecord,
-    MetricsCollector,
-    RunMetrics,
-    StreamingRunMetrics,
-)
+from .collector import DispatchRecord, MetricsCollector, RunMetrics
 from .gini import gini_index
 from .latency import LatencyStats, latency_stats, percentile_table, speedup
 from .service import ServiceSeries, ServiceTracker
-from .streaming import (
-    BoundedServiceSeries,
-    MetricsPartial,
-    QuantileDigest,
-    ReservoirSample,
-    RingBuffer,
-    StreamingMoments,
-    merge_partials,
-)
 from .summary import (
     CostSummary,
     cdf_points,
@@ -39,16 +23,7 @@ from .summary import (
 __all__ = [
     "MetricsCollector",
     "RunMetrics",
-    "StreamingRunMetrics",
-    "COLLECTOR_MODES",
     "DispatchRecord",
-    "MetricsPartial",
-    "merge_partials",
-    "StreamingMoments",
-    "QuantileDigest",
-    "ReservoirSample",
-    "RingBuffer",
-    "BoundedServiceSeries",
     "ServiceSeries",
     "ServiceTracker",
     "gini_index",

@@ -1,8 +1,15 @@
 """Tests for the python -m repro.figures CLI (fast figures only)."""
 
+import argparse
+from pathlib import Path
+
 import pytest
 
-from repro.figures import FIGURES, main
+from repro.experiments.config import ExperimentConfig
+from repro.faults.plan import FaultPlan
+from repro.figures import FIGURES, _flagged, main
+
+CHAOS_PLAN = Path(__file__).parent / "data" / "chaos_plan.json"
 
 
 class TestCLI:
@@ -126,3 +133,36 @@ class TestParallelFlags:
         assert main(["fig08", "--duration", "1", "--jobs", "2"]) == 0
         fanned = capsys.readouterr().out
         assert fanned == serial
+
+
+class TestFlaggedConfig:
+    """``_flagged`` applies ``--faults`` / ``--validate`` to a figure config."""
+
+    def _config(self):
+        return ExperimentConfig(
+            name="flagged", schedulers=("wfq",), num_threads=2,
+            thread_rate=10.0, duration=1.0,
+        )
+
+    def test_no_flag_returns_the_same_config(self):
+        config = self._config()
+        args = argparse.Namespace(fault_plan_obj=None, validate=False)
+        assert _flagged(config, args) is config
+        # A namespace without the flag attributes counts as no flag.
+        assert _flagged(config, argparse.Namespace()) is config
+
+    def test_each_flag_replaces_config(self):
+        config = self._config()
+        validated = _flagged(
+            config, argparse.Namespace(fault_plan_obj=None, validate=True)
+        )
+        assert validated is not config
+        assert validated.validate and validated.fault_plan is None
+        plan = FaultPlan.load(CHAOS_PLAN)
+        faulted = _flagged(
+            config, argparse.Namespace(fault_plan_obj=plan, validate=False)
+        )
+        assert faulted is not config
+        assert faulted.fault_plan is plan and not faulted.validate
+        # The figure's own config is never mutated.
+        assert config.fault_plan is None and not config.validate

@@ -255,6 +255,27 @@ class TestCollector:
         assert rate[0] <= 10.0 * 0.1 + 0.5
         assert np.max(rate) <= 10.0 * 0.1 + 0.5
 
+    def test_tracer_counts_samples_and_skipped_warmup_samples(self):
+        from repro.obs.tracer import Tracer
+
+        sim = Simulation()
+        scheduler = make_scheduler("wfq", num_threads=1, thread_rate=10.0)
+        server = ThreadPoolServer(
+            sim, scheduler, num_threads=1, rate=10.0, refresh_interval=None
+        )
+        collector = MetricsCollector(server, sample_interval=0.1, warmup=0.45)
+        tracer = Tracer("collector-counters")
+        collector.attach_tracer(tracer)
+        BackloggedSource(server, "A", lambda: ("x", 1.0), window=1).start()
+        sim.run(until=1.0)
+        snapshot = tracer.registry.snapshot()
+        # Samples at t = 0.1 .. 1.0: the four before t = 0.45 are skipped
+        # by the statistics but still counted as taken.
+        assert snapshot["collector.samples"] == 10
+        assert snapshot["collector.warmup_samples_skipped"] == 4
+        observed = collector.result().service_series("A").times
+        assert len(observed) == 10 - 4
+
     def test_warmup_on_sample_boundary_keeps_boundary_sample(self):
         # warmup exactly on the sampling grid: the t == warmup sample is
         # post-warmup (t >= warmup), and the sample just before it
