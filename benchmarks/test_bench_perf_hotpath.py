@@ -11,7 +11,8 @@ linear scan only and is measured end to end in ``perfbench/``.
 The committed deliverable is ``benchmarks/results/BENCH_schedulers.json``
 -- the requests/sec trajectory tracked from change to change, including
 the ``SelectionIndex`` lazy-invalidation churn (stale pops, heap
-rebuilds, pushes, touches) per cell -- plus ``BENCH_manifest.json``,
+rebuilds, pushes, touches; each touch pushes once into every heap the
+policy keeps) per cell -- plus ``BENCH_manifest.json``,
 whose ``observability`` section this module owns alongside the
 provenance record (seed, versions, git SHA).
 

@@ -94,10 +94,10 @@ class WallClockRule(_ImportTrackingRule):
 
     Simulated time is :attr:`repro.simulator.clock.Simulation.now`;
     anything derived from the host's clock differs between runs and
-    machines.  The few legitimate wall-clock sites -- run telemetry
-    timers in :mod:`repro.obs.registry`, worker timeouts in
-    :mod:`repro.parallel.engine` -- carry explicit
-    ``# repro: ignore[RPR001]`` suppressions, which doubles as an
+    machines.  The run telemetry timers in :mod:`repro.obs.registry`
+    hold the host clock by reference, not by call; any legitimate
+    wall-clock call site must carry an explicit
+    ``# repro: ignore[RPR001]`` suppression, which doubles as an
     auditable inventory of every place the host clock leaks in.
     """
 

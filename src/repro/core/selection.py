@@ -10,22 +10,17 @@ concurrently backlogged tenants; §4 notes tag-based schedulers admit
 O(log N) implementations with ordered structures).
 
 :class:`SelectionIndex` maintains the same orderings in binary heaps
-with *lazy invalidation* and *deferred maintenance*:
+with *lazy invalidation*:
 
 * every heap entry snapshots a tenant's selection key -- ``(finish tag,
   head estimate, head seqno)`` or ``(start tag, head estimate, head
   seqno)`` -- together with the tenant's ``sel_version`` at push time;
 * whenever a tenant's key may have changed (new head request, start-tag
-  movement, estimator update) the scheduler calls :meth:`touch`.  A
-  touch is O(1): it bumps ``sel_version`` and appends the tenant to a
-  shared *dirty log* -- no heap is pushed yet.  Each maintained
-  structure keeps a cursor into that log and syncs lazily, at its next
-  query; log records superseded by a newer touch of the same tenant are
-  skipped entirely, so back-to-back touches in one dispatch cycle
-  (dequeue charge + completion reconciliation) coalesce into a single
-  heap push per structure;
-* superseded entries already in a heap stay there and are discarded
-  when they surface at the top (classic lazy invalidation);
+  movement, estimator update) the scheduler calls :meth:`touch`, which
+  bumps ``sel_version``, reads the head estimate once and pushes the
+  fresh entry into every heap the index maintains -- O(log N);
+* superseded entries stay in their heap and are discarded when they
+  surface at the top (classic lazy invalidation);
 * when a tenant leaves the backlog the scheduler calls :meth:`drop`,
   which only bumps the version -- O(1), no heap surgery.
 
@@ -44,21 +39,18 @@ would need one gate per thread, and the fused linear scan in
 
 Contract with cost estimators
 -----------------------------
-Keys are snapshotted when a dirty-log record is first synced, so the
-index is only coherent if a queued request's estimate can change
-*solely* through ``observe()`` calls for the same tenant (estimators
-key their state on ``(tenant_id, api)``; see
-:mod:`repro.estimation.base`) -- every such change site in
-:mod:`repro.core.vt_base` pairs with a :meth:`touch`, which supersedes
-the memoized snapshot.  Every estimator in this library satisfies
-that; a custom estimator whose estimates drift spontaneously needs a
+Keys are snapshotted at :meth:`touch` time, so the index is only
+coherent if a queued request's estimate can change *solely* through
+``observe()`` calls for the same tenant (estimators key their state on
+``(tenant_id, api)``; see :mod:`repro.estimation.base`) -- every such
+change site in :mod:`repro.core.vt_base` is followed by a
+:meth:`touch`, which supersedes the earlier snapshot.  Every estimator
+in this library satisfies that; a custom estimator whose estimates
+drift spontaneously needs a
 :meth:`~repro.core.vt_base.VirtualTimeScheduler.reindex_backlogged`
-call after each drift.
-
-The per-record snapshot is also a *head-estimate cache*: the estimate
-is computed once per effective touch and reused by every structure
-that syncs the record, instead of once per candidate per dequeue as in
-the linear scans.
+call after each drift, and an estimator swap goes through
+:meth:`set_estimator` *before* the re-touch, so the fresh snapshots are
+taken under the new estimator.
 """
 
 from __future__ import annotations
@@ -68,7 +60,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import SchedulerError
 from ..estimation.base import CostEstimator
-from ..units import Cost, VirtualTime
+from ..units import VirtualTime
 from .scheduler import MIN_COST, TenantState
 
 __all__ = ["SelectionIndex"]
@@ -85,24 +77,10 @@ __all__ = ["SelectionIndex"]
 #: element type is ``Any`` so reads need no runtime ``cast``.
 _HeapEntry = Tuple[Any, ...]
 
-#: One dirty-log record: ``[state, version, snapshot]`` where
-#: ``snapshot`` is ``None`` until the first structure to sync the record
-#: memoizes ``(start, finish, estimate, seqno)``.
-_LogRecord = List[Any]
-
-#: The memoized ``(start, finish, estimate, seqno)`` of a log record.
-_Snapshot = Tuple[VirtualTime, VirtualTime, Cost, int]
-
 #: Heaps are compacted (stale entries filtered out, then re-heapified)
 #: once they grow past ``max(_COMPACT_MIN, 2 * live_entries)``; amortized
 #: O(1) per push, and it bounds memory at O(backlogged tenants) per heap.
 _COMPACT_MIN = 128
-
-#: The dirty log is flushed into every structure (and cleared) once it
-#: grows past ``max(_LOG_COMPACT_MIN, 4 * records flushed last time)``,
-#: bounding its memory at O(backlogged tenants) between rarely-queried
-#: structures' syncs.
-_LOG_COMPACT_MIN = 256
 
 
 class SelectionIndex:
@@ -111,7 +89,7 @@ class SelectionIndex:
     Parameters
     ----------
     estimator:
-        The scheduler's cost estimator; consulted once per effective
+        The scheduler's cost estimator; consulted once per
         :meth:`touch` to snapshot the head estimate.
     finish:
         Maintain a global min-finish-tag heap (WFQ selection and the
@@ -132,11 +110,6 @@ class SelectionIndex:
         "_start_heap",
         "_pending_heap",
         "_ready_heap",
-        "_log",
-        "_log_limit",
-        "_cursor_finish",
-        "_cursor_start",
-        "_cursor_pending",
         "stale_pops",
         "rebuilds",
         "pushes",
@@ -157,17 +130,11 @@ class SelectionIndex:
         self._start_heap = self._new_heap() if start else -1
         self._pending_heap = self._new_heap() if eligible else -1
         self._ready_heap = self._new_heap() if eligible else -1
-        #: Shared dirty log of deferred touches plus one cursor per
-        #: structure fed from it (the ready heap is fed from pending).
-        self._log: List[_LogRecord] = []
-        self._log_limit = _LOG_COMPACT_MIN
-        self._cursor_finish = 0
-        self._cursor_start = 0
-        self._cursor_pending = 0
         # Churn counters (always on): superseded entries discarded at a
         # heap top, compaction rebuilds, entries pushed, and touches
-        # received.  pushes/touches is the coalescing ratio the perf
-        # benches pin.
+        # received.  Every touch pushes into every heap fed at touch
+        # time, so pushes/touches is that heap count (plus the
+        # pending->ready migrations of eligibility-gated policies).
         self.stale_pops = 0
         self.rebuilds = 0
         self.pushes = 0
@@ -177,9 +144,9 @@ class SelectionIndex:
 
     def set_estimator(self, estimator: CostEstimator) -> None:
         """Swap the estimator consulted for head estimates (fault
-        injection).  Entries and memoized snapshots created under the old
-        estimator carry stale tags, so the owning scheduler must
-        re-``touch`` every backlogged tenant immediately after (see
+        injection).  Entries pushed under the old estimator carry stale
+        tags, so the owning scheduler must re-``touch`` every backlogged
+        tenant immediately after (see
         :meth:`~repro.core.vt_base.VirtualTimeScheduler.set_estimator`)."""
         self._estimator = estimator
 
@@ -189,114 +156,35 @@ class SelectionIndex:
         return len(self._heaps) - 1
 
     def touch(self, state: TenantState) -> None:
-        """Mark a backlogged tenant dirty after its head request, start
+        """Re-snapshot a backlogged tenant after its head request, start
         tag, or head estimate may have changed.
 
-        O(1): bumps the tenant's ``sel_version`` (invalidating every
-        entry pushed earlier *and* every unsynced log record) and
-        appends a dirty-log record.  Heap pushes happen at the next
-        query of each structure, where consecutive touches of the same
-        tenant coalesce into one push.
+        Bumps the tenant's ``sel_version`` (invalidating every entry
+        pushed earlier), reads the head estimate once, and pushes the
+        fresh entry into every heap fed at touch time -- O(log N).
         """
         state.sel_version += 1
-        self._log.append([state, state.sel_version, None])
         self.touches += 1
-        if len(self._log) >= self._log_limit:
-            self._flush_log()
+        version = state.sel_version
+        head = state.queue[0]
+        estimate = self._estimator.estimate(head)
+        if estimate < MIN_COST:
+            estimate = MIN_COST
+        start = state.start_tag
+        finish = start + estimate / state.weight
+        seqno = head.seqno
+        if self._finish_heap >= 0:
+            self._push(self._finish_heap, (finish, estimate, seqno, version, state))
+        if self._start_heap >= 0:
+            self._push(self._start_heap, (start, estimate, seqno, version, state))
+        if self._pending_heap >= 0:
+            self._push(
+                self._pending_heap, (start, finish, estimate, seqno, version, state)
+            )
 
     def drop(self, state: TenantState) -> None:
         """Invalidate every entry of a tenant that left the backlog."""
         state.sel_version += 1
-
-    def _snapshot(self, record: _LogRecord) -> _Snapshot:
-        """Memoized ``(start, finish, estimate, seqno)`` for a still-fresh
-        log record.  Safe to compute at any later sync: every mutation of
-        the underlying state pairs with a new touch, which supersedes
-        this record before the stale snapshot could be reused."""
-        snap: Optional[_Snapshot] = record[2]
-        if snap is None:
-            state: TenantState = record[0]
-            head = state.queue[0]
-            estimate = self._estimator.estimate(head)
-            if estimate < MIN_COST:
-                estimate = MIN_COST
-            start = state.start_tag
-            snap = (start, start + estimate / state.weight, estimate, head.seqno)
-            record[2] = snap
-        return snap
-
-    def _sync_finish(self) -> None:
-        log = self._log
-        end = len(log)
-        i = self._cursor_finish
-        if i == end:
-            return
-        self._cursor_finish = end
-        heap_id = self._finish_heap
-        while i < end:
-            record = log[i]
-            i += 1
-            state: TenantState = record[0]
-            if record[1] != state.sel_version:
-                continue  # superseded by a later touch (or dropped)
-            start, finish, estimate, seqno = self._snapshot(record)
-            self._push(heap_id, (finish, estimate, seqno, record[1], state))
-
-    def _sync_start(self) -> None:
-        log = self._log
-        end = len(log)
-        i = self._cursor_start
-        if i == end:
-            return
-        self._cursor_start = end
-        heap_id = self._start_heap
-        while i < end:
-            record = log[i]
-            i += 1
-            state: TenantState = record[0]
-            if record[1] != state.sel_version:
-                continue
-            start, finish, estimate, seqno = self._snapshot(record)
-            self._push(heap_id, (start, estimate, seqno, record[1], state))
-
-    def _sync_pending(self) -> None:
-        log = self._log
-        end = len(log)
-        i = self._cursor_pending
-        if i == end:
-            return
-        self._cursor_pending = end
-        heap_id = self._pending_heap
-        while i < end:
-            record = log[i]
-            i += 1
-            state: TenantState = record[0]
-            if record[1] != state.sel_version:
-                continue
-            start, finish, estimate, seqno = self._snapshot(record)
-            self._push(
-                heap_id, (start, finish, estimate, seqno, record[1], state)
-            )
-
-    def _flush_log(self) -> None:
-        """Sync every structure to the end of the log, then clear it.
-
-        Bounds log memory; rarely-queried structures (e.g. the finish
-        heap of a policy whose fallback never fires) would otherwise pin
-        the log forever.  The next limit adapts to the number of records
-        a flush interval accumulates."""
-        if self._finish_heap >= 0:
-            self._sync_finish()
-        if self._start_heap >= 0:
-            self._sync_start()
-        if self._pending_heap >= 0:
-            self._sync_pending()
-        live = sum(1 for rec in self._log if rec[1] == rec[0].sel_version)
-        self._log_limit = max(_LOG_COMPACT_MIN, 4 * live)
-        self._log.clear()
-        self._cursor_finish = 0
-        self._cursor_start = 0
-        self._cursor_pending = 0
 
     def _push(self, heap_id: int, entry: _HeapEntry) -> None:
         heap = self._heaps[heap_id]
@@ -344,7 +232,6 @@ class SelectionIndex:
         estimate, head seqno)`` key -- the WFQ decision."""
         if self._finish_heap < 0:
             raise SchedulerError("selection index was built without a finish heap")
-        self._sync_finish()
         return self._peek_state(self._finish_heap)
 
     def min_start(self) -> Optional[TenantState]:
@@ -352,7 +239,6 @@ class SelectionIndex:
         estimate, head seqno)`` key -- the SFQ decision."""
         if self._start_heap < 0:
             raise SchedulerError("selection index was built without a start heap")
-        self._sync_start()
         return self._peek_state(self._start_heap)
 
     def min_start_tag(self) -> Optional[VirtualTime]:
@@ -360,7 +246,6 @@ class SelectionIndex:
         lower bound), or ``None`` when the backlog is empty."""
         if self._start_heap < 0:
             raise SchedulerError("selection index was built without a start heap")
-        self._sync_start()
         entry = self._peek(self._start_heap)
         if entry is None:
             return None
@@ -380,7 +265,6 @@ class SelectionIndex:
             raise SchedulerError(
                 "selection index was built without an eligibility gate"
             )
-        self._sync_pending()
         pending = self._heaps[self._pending_heap]
         ready_id = self._ready_heap
         stale = 0
@@ -410,8 +294,8 @@ class SelectionIndex:
 
         ``stale_pops`` counts superseded entries discarded at a heap top,
         ``rebuilds`` the compaction passes, ``pushes`` the entries ever
-        pushed, ``touches`` the touch calls received (pushes/touches is
-        the deferred-maintenance coalescing ratio); ``entries`` is the
+        pushed, ``touches`` the touch calls received (each touch pushes once
+        into every heap fed at touch time); ``entries`` is the
         summed current heap occupancy (live plus not-yet-surfaced stale).
         Surfaced per benchmark cell in
         ``benchmarks/results/BENCH_schedulers.json`` and in traced-run
@@ -426,8 +310,7 @@ class SelectionIndex:
         }
 
     def heap_sizes(self) -> Dict[str, int]:
-        """Current heap occupancy (monitoring and tests); includes the
-        dirty log, which is bounded by the flush limit."""
+        """Current heap occupancy (monitoring and tests)."""
         sizes: Dict[str, int] = {}
         if self._finish_heap >= 0:
             sizes["finish"] = len(self._heaps[self._finish_heap])
@@ -436,7 +319,6 @@ class SelectionIndex:
         if self._pending_heap >= 0:
             sizes["pending"] = len(self._heaps[self._pending_heap])
             sizes["ready"] = len(self._heaps[self._ready_heap])
-        sizes["log"] = len(self._log)
         return sizes
 
     def __repr__(self) -> str:

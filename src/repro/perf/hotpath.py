@@ -26,8 +26,11 @@ host, so treat absolute requests/sec as indicative; the indexed/linear
 ratio is the stable signal.
 
 Each indexed cell also reports the :class:`SelectionIndex`'s
-lazy-invalidation churn (stale pops, heap rebuilds, pushes), so the
-index's bookkeeping cost is tracked alongside the throughput it buys.
+lazy-invalidation churn (stale pops, heap rebuilds, pushes, touches),
+so the index's bookkeeping cost is tracked alongside the throughput it
+buys.  Every touch pushes one entry into each heap the policy keeps, so
+pushes/touches is that heap count plus the pending->ready migrations of
+the eligibility-gated policies.
 The schedulers run with no tracer attached -- the shipped default -- so
 these numbers double as the disabled-tracer overhead measurement the
 observability contract is held to (DESIGN.md §9).

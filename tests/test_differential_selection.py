@@ -8,7 +8,8 @@ tenants, same order, under every estimator family.  The reference is
 side by side:
 
 * on seeded Azure-like workloads through the real simulator (server,
-  refresh charging, open-loop arrival traces);
+  refresh charging, open-loop arrival traces), also under estimator
+  outage and bias windows;
 * on seeded random workloads (random weights, arrival times, APIs and
   costs) through a direct scheduler driver with interleaved refreshes --
   a property-style loop over seeds, backlog sizes and pool shapes.
@@ -25,6 +26,7 @@ import pytest
 
 from repro.core import make_scheduler
 from repro.core.request import Request
+from repro.faults import EstimatorFault, FaultInjector, FaultPlan
 from repro.perf.hotpath import make_linear_reference
 from repro.simulator.clock import Simulation
 from repro.simulator.rng import make_rng
@@ -186,36 +188,60 @@ class TestDifferentialDirect:
             assert runs[0] == runs[1]
 
 
+def run_azure(scheduler_name, linear, seed, plan=None):
+    """Seeded Azure-like open-loop run through the real simulator (4
+    threads, refresh charging on), optionally under a fault plan.
+    Returns the dispatch sequence and the scheduler."""
+    sim = Simulation()
+    num_threads, rate = 4, 2.0e5
+    build = make_linear_reference if linear else make_scheduler
+    scheduler = build(scheduler_name, num_threads, rate)
+    server = ThreadPoolServer(
+        sim, scheduler, num_threads=num_threads, rate=rate, refresh_interval=0.01
+    )
+    if plan is not None:
+        injector = FaultInjector(server, plan)
+        injector.install()
+        injector.wire_estimator(scheduler)
+    dispatches = []
+    server.on_dispatch(
+        lambda r: dispatches.append(
+            (r.tenant_id, r.api, r.cost, r.arrival_time, r.thread_id)
+        )
+    )
+    specs = random_tenants(6, seed=seed)
+    attach_specs(server, specs, seed=seed, duration=4.0)
+    sim.run(until=4.0)
+    return dispatches, scheduler
+
+
 class TestDifferentialAzureSimulator:
     """Side-by-side runs through the real simulator on seeded Azure-like
     open-loop workloads (refresh charging on, trace arrivals)."""
-
-    def _dispatch_sequence(self, scheduler_name, linear, seed):
-        sim = Simulation()
-        num_threads, rate = 4, 2.0e5
-        build = make_linear_reference if linear else make_scheduler
-        scheduler = build(scheduler_name, num_threads, rate)
-        server = ThreadPoolServer(
-            sim, scheduler, num_threads=num_threads, rate=rate, refresh_interval=0.01
-        )
-        dispatches = []
-        server.on_dispatch(
-            lambda r: dispatches.append(
-                (r.tenant_id, r.api, r.cost, r.arrival_time, r.thread_id)
-            )
-        )
-        specs = random_tenants(6, seed=seed)
-        attach_specs(server, specs, seed=seed, duration=4.0)
-        sim.run(until=4.0)
-        return dispatches
 
     @pytest.mark.parametrize(
         "name", ["wf2q", "wfq", "wf2q-e", "sfq", "msf2q", "wf2q+"]
     )
     def test_identical_dispatch_sequences(self, name):
-        linear = self._dispatch_sequence(name, linear=True, seed=42)
-        indexed = self._dispatch_sequence(name, linear=False, seed=42)
+        linear = run_azure(name, linear=True, seed=42)[0]
+        indexed = run_azure(name, linear=False, seed=42)[0]
         assert len(linear) > 100, "workload too small to be meaningful"
+        assert linear == indexed
+
+    @pytest.mark.parametrize("name", ["wfq-e", "wf2q-e"])
+    def test_identical_under_estimator_faults(self, name):
+        """An outage and a bias window swap every head estimate at once;
+        the index re-snapshots through ``set_estimator`` and
+        ``reindex_backlogged`` and must still match the linear scans."""
+        plan = FaultPlan(
+            estimator_faults=(
+                EstimatorFault(start=1.0, end=2.0, mode="outage"),
+                EstimatorFault(start=2.5, end=3.5, mode="bias", bias=3.0),
+            )
+        )
+        linear = run_azure(name, linear=True, seed=42, plan=plan)[0]
+        indexed = run_azure(name, linear=False, seed=42, plan=plan)[0]
+        assert linear != run_azure(name, linear=True, seed=42)[0]
         assert linear == indexed
 
 
@@ -237,6 +263,15 @@ class TestIndexMechanics:
         sizes = s.selection_index.heap_sizes()
         for heap_name, size in sizes.items():
             assert size <= 8 * num_tenants + 256, (heap_name, sizes)
+
+    def test_one_push_per_touch_into_wfq_heap(self):
+        """WFQ keeps one heap, and every touch pushes into it at once."""
+        dispatches, scheduler = run_azure("wfq", linear=False, seed=42)
+        assert len(dispatches) > 100
+        stats = scheduler.selection_index.stats()
+        assert stats["touches"] > 0
+        assert stats["pushes"] == stats["touches"]
+        assert stats["stale_pops"] <= stats["pushes"]
 
     def test_linear_only_subclass_still_works(self):
         """External subclasses that only override _select get the linear
