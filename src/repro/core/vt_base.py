@@ -40,10 +40,7 @@ dispatch-for-dispatch to its linear scan (DESIGN.md §8, §15).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional
-
-if TYPE_CHECKING:
-    from ..obs.registry import Timer
+from typing import Any, Dict, Iterable, Optional
 
 from ..errors import SchedulerError
 from ..estimation.base import CostEstimator
@@ -189,20 +186,9 @@ class VirtualTimeScheduler(Scheduler):
         if not self._backlogged:
             return None
         index = self._index
-        # Per-phase profiling timers (ISSUE spans tentpole): only fetched
-        # while a tracer is attached, so the disabled hot path stays one
-        # ``is not None`` check per phase.  The clock behind the timers
-        # is injectable -- the runner attaches the sim clock for traced
-        # runs, the perf harness keeps the host clock.
         trace = self._trace
-        phase_timer: Optional["Timer"] = None
-        if trace is not None:
-            phase_timer = trace.registry.timer("scheduler.phase.vt_update").start()
         vnow = self._clock.advance(now)
         vnow = self._adjust_virtual_time(vnow)
-        if phase_timer is not None and trace is not None:
-            phase_timer.stop()
-            phase_timer = trace.registry.timer("scheduler.phase.select").start()
         if index is not None:
             state = self._select_indexed(thread_id, vnow)
             if state is None:
@@ -218,8 +204,6 @@ class VirtualTimeScheduler(Scheduler):
                 state = self._fallback(thread_id, vnow)
             else:
                 fallback = False
-        if phase_timer is not None:
-            phase_timer.stop()
         if state is None:
             raise SchedulerError(
                 f"{type(self).__name__} violated work conservation with "
@@ -250,14 +234,10 @@ class VirtualTimeScheduler(Scheduler):
         state.start_tag += estimate / state.weight
         state.running += 1
         if index is not None:
-            if trace is not None:
-                phase_timer = trace.registry.timer("scheduler.phase.index").start()
             if state.queue:
                 index.touch(state)
             else:
                 index.drop(state)
-            if phase_timer is not None:
-                phase_timer.stop()
         self._note_dispatched(request, thread_id, now)
         if trace is not None:
             trace.dispatch(

@@ -151,7 +151,6 @@ def run_fleet(
     specs: Optional[Sequence[TenantSpec]] = None,
     plan: Optional[FaultPlan] = None,
     failover: Optional[FailoverPolicy] = FailoverPolicy(),
-    admission_limit: Optional[float] = None,
     health_interval: float = 0.05,
     failure_threshold: int = 1,
     sample_interval: float = 0.1,
@@ -198,7 +197,6 @@ def run_fleet(
         servers,
         router=router,
         failover=failover,
-        admission_limit=admission_limit,
         health_interval=health_interval,
         failure_threshold=failure_threshold,
         seed=seed,
@@ -250,7 +248,6 @@ def run_fleet(
                 "duration": duration,
                 "router": router,
                 "failover": failover is not None,
-                "admission_limit": admission_limit,
                 "health_interval": health_interval,
                 "failure_threshold": failure_threshold,
             },

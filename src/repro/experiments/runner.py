@@ -78,7 +78,7 @@ def run_single(
     executes exactly the unfaulted, unwatched code paths.
 
     Observability: an attached tracer gets the simulation clock for its
-    registry timers (phase profiling in deterministic sim-time).  An
+    registry timers, so its manifest stays byte-reproducible.  An
     explicit ``auditor`` is wired as a tracer sink and collector sample
     hook; an *audited session* (``TraceSession(audit=...)``, the CLI's
     ``--audit``) builds one per run automatically, plus a flight
@@ -121,7 +121,7 @@ def run_single(
     flight: Optional[FlightRecorder] = None
     if tracer is not None and tracer.enabled:
         # Registry timers report in deterministic sim-time while attached
-        # to a run (ISSUE satellite: injectable clock).
+        # to a run.
         tracer.registry.set_clock(lambda: sim.now)
         scheduler.attach_tracer(tracer)
         estimator = getattr(scheduler, "estimator", None)

@@ -5,9 +5,9 @@ Layer map (DESIGN.md §16):
 
 * :mod:`repro.fleet.router` -- pluggable placement policies (random,
   round-robin, least-backlog, tenant-consistent-hash);
-* :mod:`repro.fleet.fleet` -- the :class:`Fleet` itself: admission
-  control, hedged duplicates, crash failover with exact-refund
-  re-routing, and the :class:`FailoverPolicy` retry budget;
+* :mod:`repro.fleet.fleet` -- the :class:`Fleet` itself: crash
+  failover with exact-refund re-routing (the fleet's one recovery
+  path) and the :class:`FailoverPolicy` retry budget;
 * :mod:`repro.fleet.health` -- the sim-time failure detector bounding
   the crash-to-detection window;
 * :mod:`repro.fleet.injector` -- executes the fleet-granularity faults

@@ -29,17 +29,9 @@ exhausted budget abandons the request back to its source.  With
 and stranded work is simply lost -- the degradation contrast the
 ``figfleet`` figure quantifies.
 
-``hedge=True`` additionally clones every admitted request onto a second
-server (when one exists).  The first copy to finish wins; the loser is
-aborted through the same exact-refund path, so the surviving copy is
-charged exactly once -- the request-cloning discipline of the tail-latency
-literature, restated in scheduler-charge terms.
-
-Admission control (``admission_limit``) bounds the *fleet-wide* queued
-backlog to ``limit x healthy threads``; beyond it, submissions are
-rejected and their source notified after ``reject_retry_delay`` (the
-deferral breaks the same-instant resubmit loop a closed-loop source
-would otherwise enter).
+A submission is rejected only when no server is routable; its source is
+notified after :data:`REJECT_RETRY_DELAY` (the deferral breaks the
+same-instant resubmit loop a closed-loop source would otherwise enter).
 """
 
 from __future__ import annotations
@@ -48,7 +40,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Union
 
-from ..core.request import Request, RequestPhase
+from ..core.request import Request
 from ..errors import ConfigurationError
 from ..faults.plan import retry_delay
 from ..obs.tracer import Tracer
@@ -62,12 +54,15 @@ __all__ = ["FailoverPolicy", "Fleet"]
 RequestListener = Callable[[Request], None]
 CapacityListener = Callable[[float, float], None]
 
+#: Seconds before a rejected request's source is notified.
+REJECT_RETRY_DELAY = 0.02
+
 
 @dataclass(frozen=True)
 class FailoverPolicy:
-    """Retry budget and hedging knobs for crash failover.
+    """Retry budget for crash failover.
 
-    The backoff schedule is shared with the deadline-retry model
+    The backoff schedule is shared with single-server deadline retries
     (:func:`repro.faults.plan.retry_delay`): attempt ``k`` waits
     ``backoff * growth**k`` seconds, stretched by up to ``jitter``
     uniform fraction.
@@ -77,9 +72,6 @@ class FailoverPolicy:
     backoff: float = 0.005
     growth: float = 2.0
     jitter: float = 0.1
-    #: Duplicate every admitted request onto a second healthy server;
-    #: first completion wins, the loser is cancelled with a full refund.
-    hedge: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -109,16 +101,10 @@ class Fleet:
         The crash-failover policy, or ``None`` to disable both failover
         *and* health monitoring (the router then never learns of
         crashes).
-    admission_limit:
-        Reject new submissions while the fleet-wide queued backlog is at
-        least ``admission_limit x healthy threads``; ``None`` disables
-        admission control.
     health_interval:
         Probe period of the health monitor (seconds).
     failure_threshold:
         Consecutive missed probes before a server is marked down.
-    reject_retry_delay:
-        Delay before a rejected request's source is notified.
     seed:
         Seeds the router and the failover jitter streams.
     """
@@ -129,10 +115,8 @@ class Fleet:
         servers: Sequence[ThreadPoolServer],
         router: Union[Router, str] = "least-backlog",
         failover: Optional[FailoverPolicy] = FailoverPolicy(),
-        admission_limit: Optional[float] = None,
         health_interval: float = 0.05,
         failure_threshold: int = 1,
-        reject_retry_delay: float = 0.02,
         seed: int = 0,
     ) -> None:
         if not servers:
@@ -142,14 +126,6 @@ class Fleet:
                 raise ConfigurationError(
                     f"server {index} belongs to a different Simulation"
                 )
-        if admission_limit is not None and admission_limit <= 0:
-            raise ConfigurationError(
-                f"admission_limit must be positive, got {admission_limit}"
-            )
-        if reject_retry_delay < 0:
-            raise ConfigurationError(
-                f"reject_retry_delay must be >= 0, got {reject_retry_delay}"
-            )
         self.sim = sim
         self.servers: List[ThreadPoolServer] = list(servers)
         self.router: Router = (
@@ -157,8 +133,6 @@ class Fleet:
         )
         self.router.bind(self, seed)
         self.failover = failover
-        self._admission_limit = admission_limit
-        self._reject_retry_delay = float(reject_retry_delay)
         self._rng = make_rng(seed, "fleet", "failover")
         self._trace: Optional[Tracer] = None
         # Routing view: servers *detected* down.  A crashed server stays
@@ -170,18 +144,12 @@ class Fleet:
         self._owner: Dict[int, int] = {}
         self._attempts: Dict[int, int] = {}
         self._pending_retry: Dict[int, Request] = {}
-        # Hedge pairs: seqno -> sibling request (both directions); the
-        # clone side is recorded in _hedge_clones for the pair's life.
-        self._hedge: Dict[int, Request] = {}
-        self._hedge_clones: Set[int] = set()
         self.counts: Dict[str, int] = {
             "admitted": 0,
             "rejected": 0,
             "routed": 0,
             "completed": 0,
             "abandoned": 0,
-            "hedged": 0,
-            "hedge_wins_clone": 0,
             "server_crashes": 0,
             "server_restores": 0,
             "detections": 0,
@@ -207,19 +175,18 @@ class Fleet:
             )
             self.monitor.start()
 
-    # -- listeners (logical requests only; hedge clones never appear) ------
+    # -- listeners (logical requests; a failover retry is not re-admitted) -
 
     def on_admit(self, fn: RequestListener) -> None:
         """Fired once per accepted submission (not per failover retry)."""
         self._admit_listeners.append(fn)
 
     def on_reject(self, fn: RequestListener) -> None:
-        """Fired when admission control or an empty healthy set refuses."""
+        """Fired when no server is routable to take a submission."""
         self._reject_listeners.append(fn)
 
     def on_complete(self, fn: RequestListener) -> None:
-        """Fired once per logical completion, with the logical request
-        (its ``completion_time`` reflects the winning copy)."""
+        """Fired once per logical completion."""
         self._complete_listeners.append(fn)
 
     def on_abandon(self, fn: RequestListener) -> None:
@@ -269,15 +236,8 @@ class Fleet:
     def pending_seqnos(self) -> Set[int]:
         """Seqnos of logical requests still in flight: live on a server
         (including frozen on a crashed one), or awaiting a failover
-        retry.  A live hedge clone pins its primary's seqno as pending.
-        """
-        pending = set(self._owner) | set(self._pending_retry)
-        for seqno in sorted(pending):
-            if seqno in self._hedge_clones:
-                sibling = self._hedge.get(seqno)
-                if sibling is not None:
-                    pending.add(sibling.seqno)
-        return pending
+        retry."""
+        return set(self._owner) | set(self._pending_retry)
 
     def update_gauges(self) -> None:
         """Refresh the ``fleet.*`` gauges (no-op without a tracer)."""
@@ -298,39 +258,13 @@ class Fleet:
         if not healthy:
             self._reject(request, "no_healthy_servers", healthy)
             return
-        if self._admission_full(healthy):
-            self._reject(request, "backlog_limit", healthy)
-            return
         self.counts["admitted"] += 1
         for fn in self._admit_listeners:
             fn(request)
         self._place(request, healthy)
-        policy = self.failover
-        if policy is not None and policy.hedge and len(healthy) > 1:
-            primary_server = self._owner[request.seqno]
-            alternates = [i for i in healthy if i != primary_server]
-            clone = Request(
-                tenant_id=request.tenant_id,
-                cost=request.cost,
-                api=request.api,
-                weight=request.weight,
-                source=None,
-            )
-            self._hedge[request.seqno] = clone
-            self._hedge[clone.seqno] = request
-            self._hedge_clones.add(clone.seqno)
-            self.counts["hedged"] += 1
-            self._place(clone, alternates)
 
     def _routable(self) -> List[int]:
         return [i for i in range(len(self.servers)) if i not in self._down]
-
-    def _admission_full(self, healthy: List[int]) -> bool:
-        if self._admission_limit is None:
-            return False
-        queued = sum(self.servers[i].scheduler.backlog for i in healthy)
-        threads = sum(self.servers[i].num_threads for i in healthy)
-        return queued >= self._admission_limit * threads
 
     def _place(self, request: Request, candidates: List[int]) -> None:
         choice = self.router.route(request, candidates)
@@ -380,7 +314,7 @@ class Fleet:
             # Deferred: a same-instant notification would make a
             # closed-loop source resubmit into the identical state.
             self.sim.after(
-                self._reject_retry_delay, source.on_request_complete, request
+                REJECT_RETRY_DELAY, source.on_request_complete, request
             )
 
     # -- completion --------------------------------------------------------
@@ -390,27 +324,9 @@ class Fleet:
             return  # not fleet-routed (direct server traffic)
         self._owner.pop(request.seqno, None)
         self._attempts.pop(request.seqno, None)
-        logical = request
-        sibling = self._hedge.pop(request.seqno, None)
-        if sibling is not None:
-            self._hedge.pop(sibling.seqno, None)
-            winner_is_clone = request.seqno in self._hedge_clones
-            self._hedge_clones.discard(request.seqno)
-            self._hedge_clones.discard(sibling.seqno)
-            owner = self._owner.pop(sibling.seqno, None)
-            if owner is not None:
-                self._live[owner].pop(sibling.seqno, None)
-                self.servers[owner].abort(sibling)
-            if winner_is_clone:
-                self.counts["hedge_wins_clone"] += 1
-                logical = sibling
-                logical.completion_time = request.completion_time
-                source = logical.source
-                if source is not None:
-                    source.on_request_complete(logical)
         self.counts["completed"] += 1
         for fn in self._complete_listeners:
-            fn(logical)
+            fn(request)
 
     # -- fault surface (driven by FleetInjector) ---------------------------
 
@@ -439,26 +355,6 @@ class Fleet:
         server = self.servers[index]
         for worker in server.workers:
             server.set_worker_speed(worker.index, factor)
-
-    def abort(self, request: Request) -> bool:
-        """Abort a fleet-routed request wherever it currently lives
-        (fleet-level deadline expiry).  Returns ``False`` if unknown."""
-        owner = self._owner.pop(request.seqno, None)
-        was_pending = self._pending_retry.pop(request.seqno, None) is not None
-        self._attempts.pop(request.seqno, None)
-        if owner is None:
-            return was_pending
-        self._live[owner].pop(request.seqno, None)
-        sibling = self._hedge.pop(request.seqno, None)
-        if sibling is not None:
-            self._hedge.pop(sibling.seqno, None)
-            self._hedge_clones.discard(request.seqno)
-            self._hedge_clones.discard(sibling.seqno)
-            sibling_owner = self._owner.pop(sibling.seqno, None)
-            if sibling_owner is not None:
-                self._live[sibling_owner].pop(sibling.seqno, None)
-                self.servers[sibling_owner].abort(sibling)
-        return self.servers[owner].abort(request)
 
     # -- health transitions (driven by HealthMonitor) ----------------------
 
@@ -497,67 +393,28 @@ class Fleet:
 
     def _drain(self, index: int) -> None:
         """Abort every request stranded on a dead server (exact refund)
-        and schedule failover retries for the logical requests that no
-        surviving hedge copy still carries."""
+        and schedule a failover retry for each."""
         server = self.servers[index]
         victims = list(self._live[index].values())
         self._live[index].clear()
         for request in victims:
             self._owner.pop(request.seqno, None)
             server.abort(request)
-        requeue: List[Request] = []
-        scheduled: Set[int] = set()
-        dropped = 0
-        for request in victims:
-            sibling = self._hedge.get(request.seqno)
-            if request.seqno in self._hedge_clones:
-                # A hedge duplicate never retries on its own; when its
-                # primary is also gone (stranded in an earlier crash and
-                # dropped in favour of this copy), resolve the pair into
-                # a plain retry of the primary.
-                if sibling is not None and self._copy_dead(sibling):
-                    self._unlink(request.seqno, sibling)
-                    if (
-                        sibling.phase == RequestPhase.CANCELLED
-                        and sibling.seqno not in scheduled
-                    ):
-                        scheduled.add(sibling.seqno)
-                        requeue.append(sibling)
-                dropped += 1
-                continue
-            if sibling is not None:
-                if not self._copy_dead(sibling):
-                    dropped += 1  # the surviving clone carries it
-                    continue
-                self._unlink(request.seqno, sibling)
-            if request.seqno not in scheduled:
-                scheduled.add(request.seqno)
-                requeue.append(request)
         self.counts["failovers"] += 1
         trace = self._trace
         if trace is not None:
+            # Every victim re-queues; ``dropped`` stays in the event's
+            # field set so trace consumers keep one schema.
             trace.fault(
                 self.sim.now,
                 "failover",
                 server=index,
                 drained=len(victims),
-                requeued=len(requeue),
-                dropped=dropped,
+                requeued=len(victims),
+                dropped=0,
             )
-        for request in requeue:
+        for request in victims:
             self._requeue(request)
-
-    def _copy_dead(self, request: Request) -> bool:
-        return (
-            self._owner.get(request.seqno) is None
-            and request.seqno not in self._pending_retry
-        )
-
-    def _unlink(self, seqno: int, sibling: Request) -> None:
-        self._hedge.pop(seqno, None)
-        self._hedge.pop(sibling.seqno, None)
-        self._hedge_clones.discard(seqno)
-        self._hedge_clones.discard(sibling.seqno)
 
     def _requeue(self, request: Request) -> None:
         policy = self.failover
@@ -579,22 +436,16 @@ class Fleet:
         self.sim.after(delay, self._fire_retry, request)
 
     def _fire_retry(self, request: Request) -> None:
-        if self._pending_retry.pop(request.seqno, None) is None:
-            return  # aborted while waiting
-        if request.phase != RequestPhase.CANCELLED:
-            return
+        del self._pending_retry[request.seqno]
         healthy = self._routable()
-        if not healthy or self._admission_full(healthy):
+        if not healthy:
             self._requeue(request)  # burns another attempt
             return
         self.counts["failover_retries"] += 1
         self._place(request, healthy)
 
     def _abandon(self, request: Request) -> None:
-        """Terminal give-up: a failover retry budget ran out, or a
-        fleet-level deadline policy expired its last retry (the
-        injector routes its abandonments through here so ledger
-        listeners see every terminal outcome)."""
+        """Terminal give-up: a failover retry budget ran out."""
         self._attempts.pop(request.seqno, None)
         self.counts["abandoned"] += 1
         trace = self._trace

@@ -1,7 +1,6 @@
 """Fleet-granularity fault injection: executes the ``server_crashes`` /
-``server_slowdowns`` (and ``deadlines``) of a
-:class:`~repro.faults.plan.FaultPlan` against a
-:class:`~repro.fleet.fleet.Fleet`.
+``server_slowdowns`` of a :class:`~repro.faults.plan.FaultPlan` against
+a :class:`~repro.fleet.fleet.Fleet`.
 
 The split mirrors the plan vocabulary: worker-granularity faults
 (``slowdowns``, ``crashes``, ``estimator_faults``) name a worker index
@@ -12,22 +11,17 @@ reason the single-server injector rejects fleet faults -- a plan must be
 executable by exactly one injector, or "same plan, same seed, same run"
 stops meaning anything.
 
-Deadlines work at fleet scope: the timer arms on logical admission, the
-expiry aborts the request *wherever it lives* (any server, a frozen
-crashed server, or the failover retry queue) through
-:meth:`Fleet.abort`, and the retry is a fresh fleet submission routed
-like any other.  Backoff shares :func:`~repro.faults.plan.retry_delay`
-with both the single-server injector and the failover policy.
+Client ``deadlines`` are a single-server fault too: a fleet plan that
+carries them is rejected here, and the fleet's only recovery path is
+crash failover (:class:`~repro.fleet.fleet.FailoverPolicy`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..core.request import Request, RequestPhase
 from ..errors import ConfigurationError
-from ..faults.plan import DeadlinePolicy, FaultPlan, ServerCrash, ServerSlowdown, retry_delay
-from ..simulator.rng import make_rng
+from ..faults.plan import FaultPlan, ServerCrash, ServerSlowdown
 from .fleet import Fleet
 
 __all__ = ["FleetInjector"]
@@ -48,25 +42,26 @@ class FleetInjector:
     def __init__(self, fleet: Fleet, plan: FaultPlan) -> None:
         self.fleet = fleet
         self.plan = plan
-        self._rng = make_rng(plan.seed, "fleet-faults", "jitter")
-        self._attempts: Dict[int, int] = {}  # seqno -> retries so far
         self.counts: Dict[str, int] = {
             "server_crashes": 0,
             "server_restarts": 0,
             "server_slowdowns": 0,
-            "deadline_expiries": 0,
-            "retries": 0,
-            "abandoned": 0,
         }
 
     def install(self) -> None:
         """Validate the plan against this fleet and schedule every fault."""
         plan = self.plan
-        if plan.slowdowns or plan.crashes or plan.estimator_faults:
+        if (
+            plan.slowdowns
+            or plan.crashes
+            or plan.estimator_faults
+            or plan.deadlines
+        ):
             raise ConfigurationError(
-                "fault plan contains worker-granularity faults (slowdowns/"
-                "crashes/estimator_faults); those name a worker inside one "
-                "process -- run them through the single-server FaultInjector"
+                "fault plan contains worker-granularity faults or client "
+                "deadlines (slowdowns/crashes/estimator_faults/deadlines); "
+                "those act inside one process -- run them through the "
+                "single-server FaultInjector"
             )
         size = len(self.fleet.servers)
         for crash in plan.server_crashes:
@@ -89,8 +84,6 @@ class FleetInjector:
         for slowdown in plan.server_slowdowns:
             sim.at(slowdown.start, self._begin_slowdown, slowdown)
             sim.at(slowdown.end, self._end_slowdown, slowdown)
-        if plan.deadlines:
-            self.fleet.on_admit(self._watch_deadline)
 
     # -- server faults -----------------------------------------------------
 
@@ -114,62 +107,6 @@ class FleetInjector:
     def _end_slowdown(self, slowdown: ServerSlowdown) -> None:
         self.fleet.set_server_speed(slowdown.server, 1.0)
         self._trace_fault("server_slowdown_end", server=slowdown.server)
-
-    # -- deadlines ---------------------------------------------------------
-
-    def _watch_deadline(self, request: Request) -> None:
-        policy = self.plan.policy_for(request.tenant_id)
-        if policy is None:
-            return
-        self.fleet.sim.after(policy.deadline, self._expire, request, policy)
-
-    def _expire(self, request: Request, policy: DeadlinePolicy) -> None:
-        phase = request.phase
-        if phase != RequestPhase.QUEUED and phase != RequestPhase.RUNNING:
-            # CANCELLED can still mean "alive, awaiting failover retry";
-            # Fleet.abort distinguishes that from a terminal state.
-            if phase != RequestPhase.CANCELLED:
-                return
-        if not self.fleet.abort(request):
-            return
-        self.counts["deadline_expiries"] += 1
-        self._trace_fault(
-            "deadline_expired",
-            tenant=request.tenant_id,
-            seqno=request.seqno,
-            was_running=phase == RequestPhase.RUNNING,
-        )
-        attempts = self._attempts.get(request.seqno, 0)
-        if attempts < policy.max_retries:
-            self._attempts[request.seqno] = attempts + 1
-            delay = retry_delay(
-                policy.backoff,
-                policy.growth,
-                policy.jitter,
-                attempts,
-                float(self._rng.uniform(0.0, 1.0)),
-            )
-            self.fleet.sim.after(delay, self._retry, request)
-        else:
-            self.counts["abandoned"] += 1
-            # Routed through the fleet so abandon listeners (the
-            # conservation ledger) see the terminal outcome; the fleet
-            # notifies the source.
-            self.fleet._abandon(request)
-
-    def _retry(self, request: Request) -> None:
-        if request.phase != RequestPhase.CANCELLED:
-            return
-        self.counts["retries"] += 1
-        self._trace_fault(
-            "retry",
-            tenant=request.tenant_id,
-            seqno=request.seqno,
-            attempt=self._attempts.get(request.seqno, 0),
-        )
-        # A retry is a fresh client submission: routed anew, counted as
-        # a new admission, and its deadline timer re-arms via on_admit.
-        self.fleet.submit(request)
 
     # -- tracing -----------------------------------------------------------
 

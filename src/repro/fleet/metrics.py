@@ -16,8 +16,10 @@ The collector mirrors the single-server
 :class:`~repro.metrics.collector.MetricsCollector` shape -- absolute-grid
 sampling into a :class:`~repro.metrics.service.ServiceTracker`, latency
 lists per tenant, warmup exclusion for statistics -- but listens on the
-*fleet* (logical admissions and completions), so hedge duplicates and
-failover re-routes never double-count.
+*fleet* (logical admissions and completions), so failover re-routes
+never double-count.  Latency runs from the logical admission, not from
+the last re-route: a failed-over request's latency includes the time it
+spent stranded on the dead server and waiting out its retry backoff.
 """
 
 from __future__ import annotations
@@ -103,6 +105,10 @@ class FleetCollector:
         self._tracker = ServiceTracker()
         self._gps = GPSReference(fleet.capacity)
         self._latencies: Dict[str, List[float]] = {}
+        # seqno -> admission time: a failover re-route resubmits to a
+        # server, which restamps ``arrival_time``.  Requests admitted
+        # before the collector attached fall back to ``arrival_time``.
+        self._admitted_at: Dict[int, float] = {}
         self._seen_tenants: Set[str] = set()
         self._previous_service: Dict[str, float] = {}
         self._sample_index = 0
@@ -116,22 +122,27 @@ class FleetCollector:
         ]
         fleet.on_admit(self._on_admit)
         fleet.on_complete(self._on_complete)
+        fleet.on_abandon(self._on_abandon)
         fleet.on_capacity_change(self._on_capacity_change)
         self._sim.at(self._epoch + self._interval, self._sample)
 
     # -- listeners ---------------------------------------------------------
 
     def _on_admit(self, request: Request) -> None:
+        now = self._sim.now
         self._seen_tenants.add(request.tenant_id)
-        self._gps.arrive(
-            request.tenant_id, request.cost, self._sim.now, request.weight
-        )
+        self._admitted_at[request.seqno] = now
+        self._gps.arrive(request.tenant_id, request.cost, now, request.weight)
 
     def _on_complete(self, request: Request) -> None:
+        admitted_at = self._admitted_at.pop(request.seqno, request.arrival_time)
         if request.completion_time >= self._warmup:
             self._latencies.setdefault(request.tenant_id, []).append(
-                request.latency
+                request.completion_time - admitted_at
             )
+
+    def _on_abandon(self, request: Request) -> None:
+        self._admitted_at.pop(request.seqno, None)
 
     def _on_capacity_change(self, now: float, capacity: float) -> None:
         self._capacity_timeline.append((now, capacity))

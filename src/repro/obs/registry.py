@@ -15,9 +15,9 @@ only calls its clock at scope boundaries.
 
 Timer clocks are *injectable*: a timer reads time through a zero-arg
 callable, defaulting to the host's monotonic high-resolution counter
-(:data:`HOST_CLOCK`).  The experiment runner swaps in the simulation
-clock (:meth:`MetricsRegistry.set_clock`) for traced runs, so phase
-timers report in deterministic sim-time and run manifests stay
+(:data:`HOST_CLOCK`).  The experiment runners swap in the simulation
+clock (:meth:`MetricsRegistry.set_clock`) for traced runs, so a timer
+read there reports deterministic sim-time and run manifests stay
 byte-reproducible; standalone profiling (the perf harness) keeps the
 host clock.
 """

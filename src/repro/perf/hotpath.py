@@ -332,8 +332,8 @@ def measure_observability_overhead(
 
     * ``disabled`` -- no tracer attached (the shipped default; every
       instrumentation site is one ``is not None`` check);
-    * ``traced`` -- a bounded tracer attached (event emission plus the
-      per-phase scheduler timers the span builder consumes);
+    * ``traced`` -- a bounded tracer attached (event emission into the
+      tracer's ring);
     * ``audited`` -- the tracer additionally feeding the fairness
       auditor and the flight recorder as sinks (the CLI ``--audit``
       configuration).

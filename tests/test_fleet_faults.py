@@ -97,6 +97,11 @@ class TestFleetFaultPlan:
         )
         with pytest.raises(ConfigurationError, match="worker-granularity"):
             FleetInjector(fleet, plan).install()
+        # Client deadlines are a single-server fault: the fleet's only
+        # recovery path is crash failover.
+        deadlines_only = FaultPlan(deadlines=(DeadlinePolicy(deadline=0.1),))
+        with pytest.raises(ConfigurationError, match="deadlines"):
+            FleetInjector(fleet, deadlines_only).install()
 
 
 class TestFleetInjectorDispatch:
@@ -148,33 +153,6 @@ class TestFleetInjectorDispatch:
         assert fleet.down == frozenset()
         assert fleet.counts["detections"] == 0
         assert fleet.counts["completed"] == 4
-
-    def test_fleet_deadline_expiry_retries_then_abandons(self):
-        sim, fleet = build_fleet(num_servers=2, failover=None)
-        # Jam both servers so the probe request can never finish in time.
-        for server in fleet.servers:
-            for _ in range(4):
-                server.submit(Request(tenant_id="bg", cost=1000.0))
-        plan = FaultPlan(
-            deadlines=(
-                DeadlinePolicy(
-                    deadline=0.1,
-                    max_retries=2,
-                    backoff=0.01,
-                    tenants=("probe",),
-                ),
-            )
-        )
-        injector = FleetInjector(fleet, plan)
-        injector.install()
-        abandoned = []
-        fleet.on_abandon(abandoned.append)
-        fleet.submit(Request(tenant_id="probe", cost=5.0))
-        sim.run(until=5.0)
-        assert injector.counts["deadline_expiries"] == 3
-        assert injector.counts["retries"] == 2
-        assert injector.counts["abandoned"] == 1
-        assert [r.tenant_id for r in abandoned] == ["probe"]
 
 
 class TestFleetFlightRecorder:
