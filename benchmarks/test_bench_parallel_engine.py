@@ -13,7 +13,7 @@ All four produce numerically identical p99 tables (the determinism
 contract of DESIGN.md §10) -- that is asserted here, NaN-aware, before
 any timing is recorded.  The timings land in the ``parallel_engine``
 section of ``benchmarks/results/BENCH_manifest.json`` next to the
-hot-path numbers, with the host's core count recorded because the
+other benches' sections, with the host's core count recorded because the
 parallel speedup is meaningless without it: the >= 2x acceptance bar
 for ``jobs=4`` is only enforced when the host actually has >= 4 cores,
 while the warm-cache bar (>= 10x over cold) holds on any host.

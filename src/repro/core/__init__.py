@@ -6,13 +6,20 @@ Public surface:
 * :class:`Scheduler` / :class:`VirtualTimeScheduler` -- extension points
   for custom policies;
 * concrete schedulers (``WFQScheduler`` .. ``TwoDFQEScheduler``);
-* :func:`make_scheduler` -- registry-based construction.
+* :func:`make_scheduler` -- registry-based construction;
+* :func:`make_linear_reference` -- an indexed policy on its reference
+  linear scans (the differential and speedup baseline).
 """
 
 from .drr import DRRScheduler
 from .fifo import FIFOScheduler
 from .msf2q import MSF2QScheduler
-from .registry import SCHEDULER_CLASSES, make_scheduler, scheduler_names
+from .registry import (
+    SCHEDULER_CLASSES,
+    make_linear_reference,
+    make_scheduler,
+    scheduler_names,
+)
 from .request import Request, RequestPhase
 from .round_robin import RoundRobinScheduler
 from .scheduler import MIN_COST, Scheduler, TenantState
@@ -45,6 +52,7 @@ __all__ = [
     "TwoDFQScheduler",
     "TwoDFQEScheduler",
     "make_scheduler",
+    "make_linear_reference",
     "scheduler_names",
     "SCHEDULER_CLASSES",
 ]

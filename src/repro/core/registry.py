@@ -25,7 +25,8 @@ logic and estimation strategy", §6.2).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Type
+import functools
+from typing import Any, Callable, Dict, Optional, Type, cast
 
 from ..estimation import CostEstimator, EMAEstimator
 from .drr import DRRScheduler
@@ -40,7 +41,12 @@ from .wf2q import WF2QScheduler
 from .wf2qplus import WF2QPlusScheduler
 from .wfq import WFQScheduler
 
-__all__ = ["make_scheduler", "scheduler_names", "SCHEDULER_CLASSES"]
+__all__ = [
+    "make_scheduler",
+    "make_linear_reference",
+    "scheduler_names",
+    "SCHEDULER_CLASSES",
+]
 
 #: Plain (non-estimated) scheduler classes by registry name.
 SCHEDULER_CLASSES: Dict[str, Type[Scheduler]] = {
@@ -108,3 +114,36 @@ def make_scheduler(
         known = ", ".join(scheduler_names())
         raise KeyError(f"unknown scheduler {name!r}; known: {known}") from None
     return factory(num_threads, thread_rate, **kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_class(cls: Type[VirtualTimeScheduler]) -> Type[VirtualTimeScheduler]:
+    def no_index(self: VirtualTimeScheduler) -> None:
+        return None
+
+    return cast(
+        Type[VirtualTimeScheduler],
+        type(cls.__name__, (cls,), {"_index_spec": no_index}),
+    )
+
+
+def make_linear_reference(
+    name: str, num_threads: int, thread_rate: float = 1.0
+) -> Scheduler:
+    """Build ``name`` on its reference linear scans.
+
+    The result is the registered scheduler's class with ``_index_spec``
+    returning ``None`` -- exactly what an external subclass that only
+    overrides ``_select`` gets -- driven by a fresh copy of the same
+    estimator.  It is the differential baseline of the indexed policies
+    (``tests/test_differential_selection.py``) and the denominator of
+    the selection-index speedup bars
+    (``benchmarks/test_bench_selection_index.py``); it is not a
+    scheduler option.
+    """
+    shipped = make_scheduler(name, num_threads, thread_rate)
+    if not isinstance(shipped, VirtualTimeScheduler):
+        raise TypeError(f"{name!r} is not a virtual-time scheduler")
+    return _linear_class(type(shipped))(
+        num_threads, thread_rate, estimator=shipped.estimator
+    )

@@ -297,9 +297,8 @@ class SelectionIndex:
         pushed, ``touches`` the touch calls received (each touch pushes once
         into every heap fed at touch time); ``entries`` is the
         summed current heap occupancy (live plus not-yet-surfaced stale).
-        Surfaced per benchmark cell in
-        ``benchmarks/results/BENCH_schedulers.json`` and in traced-run
-        manifests.
+        Surfaced by ``benchmarks/test_bench_selection_index.py``, by
+        perfbench's per-layer split and in traced-run manifests.
         """
         return {
             "stale_pops": self.stale_pops,

@@ -18,7 +18,7 @@ callable, defaulting to the host's monotonic high-resolution counter
 (:data:`HOST_CLOCK`).  The experiment runners swap in the simulation
 clock (:meth:`MetricsRegistry.set_clock`) for traced runs, so a timer
 read there reports deterministic sim-time and run manifests stay
-byte-reproducible; standalone profiling (the perf harness) keeps the
+byte-reproducible; host-side measurement (the benchmarks) keeps the
 host clock.
 """
 

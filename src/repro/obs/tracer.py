@@ -18,9 +18,9 @@ check::
 
 ``attach_tracer`` enforces the invariant: attaching ``None`` or a
 disabled tracer stores ``None``, so the disabled mode is exactly one
-``is not None`` test per instrumented operation.  The hot-path benchmark
-(``benchmarks/test_bench_perf_hotpath.py``) asserts this stays under 5%
-of dequeue throughput.
+``is not None`` test per instrumented operation, and an untraced run
+builds no event and calls no ``_trace_*`` hook
+(``tests/test_obs_tracer.py::TestDisabledTracerContract``).
 
 When enabled, emission is one dataclass construction and a list append;
 ``max_events`` bounds memory for long runs (overflow is counted, not

@@ -96,13 +96,16 @@ class RunCache:
         """The cached result for ``key``, or the module ``_MISS`` sentinel.
 
         Use :meth:`lookup` for the ``(found, value)`` view.  Unreadable
-        entries count as misses.
+        entries count as misses: unpickling corrupt or foreign bytes can
+        raise nearly anything (``ValueError`` for an unknown protocol,
+        ``ImportError`` for a module that no longer exists, ...), and
+        none of it may crash the run that asked.
         """
         path = self._path(key)
         try:
             with path.open("rb") as fh:
                 value = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except Exception:
             self.misses += 1
             return _MISS
         self.hits += 1

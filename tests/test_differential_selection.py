@@ -24,10 +24,9 @@ from collections import deque
 
 import pytest
 
-from repro.core import make_scheduler
+from repro.core import make_linear_reference, make_scheduler
 from repro.core.request import Request
 from repro.faults import EstimatorFault, FaultInjector, FaultPlan
-from repro.perf.hotpath import make_linear_reference
 from repro.simulator.clock import Simulation
 from repro.simulator.rng import make_rng
 from repro.simulator.server import ThreadPoolServer

@@ -30,10 +30,14 @@ from pathlib import Path
 import pytest
 
 import repro.core.request as request_module
-from repro.core import make_scheduler
+from repro.core import make_scheduler, scheduler_names
 from repro.core.request import Request
 from repro.estimation.pessimistic import PessimisticEstimator
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_single
+from repro.faults import DeadlinePolicy, FaultPlan
 from repro.obs import EVENT_KINDS, TraceEvent, Tracer
+from repro.workloads.synthetic import expensive_requests_population
 
 GOLDEN = Path(__file__).parent / "data" / "golden_2dfq_trace.jsonl"
 GOLDEN_E = Path(__file__).parent / "data" / "golden_2dfqe_trace.jsonl"
@@ -226,6 +230,66 @@ class TestAttachSemantics:
         request = scheduler.dequeue(0, 0.0)
         scheduler.complete(request, request.cost, 1.0)
         assert scheduler.tracer is None
+
+
+#: The tracer-only helpers a scheduler calls to fill ``select`` and
+#: ``cancel`` events; an untraced run must never reach them.
+TRACE_HOOKS = ("_trace_eligible_count", "_trace_stagger", "_trace_virtual_time")
+
+
+def count_trace_work(monkeypatch):
+    """Patch a counter onto every ``TraceEvent`` construction and every
+    scheduler class that defines a trace hook; returns the live counts."""
+    counts = dict.fromkeys(("TraceEvent",) + TRACE_HOOKS, 0)
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        TraceEvent, "__init__", counting("TraceEvent", TraceEvent.__init__)
+    )
+    classes = {type(make_scheduler(name, 1)) for name in scheduler_names()}
+    for cls in {base for cls in classes for base in cls.__mro__}:
+        for hook in TRACE_HOOKS:
+            if hook in vars(cls):
+                monkeypatch.setattr(cls, hook, counting(hook, vars(cls)[hook]))
+    return counts
+
+
+class TestDisabledTracerContract:
+    """The disabled-tracer overhead contract, held by construction: an
+    untraced run builds no event and never calls a trace hook (a
+    disabled ``Tracer`` attaches as ``None``, so it runs this same
+    path).  Its wall-clock cost is held end to end by the benchmark's
+    paired parent/change ``wall_s``/``sim_rps`` comparison."""
+
+    #: Half small, half expensive backlogged tenants under a tight
+    #: client deadline, so runs dispatch, refresh-charge and cancel.
+    CONFIG = ExperimentConfig(
+        name="tracer-contract",
+        schedulers=tuple(scheduler_names()),
+        num_threads=2,
+        thread_rate=1000.0,
+        duration=0.5,
+        fault_plan=FaultPlan(deadlines=(DeadlinePolicy(deadline=0.02),)),
+    )
+    SPECS = expensive_requests_population(num_small=3, total=6)
+
+    def test_untraced_run_constructs_no_event_and_calls_no_hook(self, monkeypatch):
+        counts = count_trace_work(monkeypatch)
+        for name in scheduler_names():
+            run_single(name, self.SPECS, self.CONFIG)
+            assert counts == dict.fromkeys(counts, 0), name
+
+    def test_counters_are_live_under_an_enabled_tracer(self, monkeypatch):
+        counts = count_trace_work(monkeypatch)
+        for name in scheduler_names():
+            run_single(name, self.SPECS, self.CONFIG, tracer=Tracer(name))
+        assert all(counts.values()), counts
 
 
 class TestInstrumentedRun:

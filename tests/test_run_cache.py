@@ -99,13 +99,19 @@ class TestCacheStore:
         assert not found and value is None
         assert cache.misses == 1
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "garbage",
+        [b"not a pickle", b"\x80\x09abc", b"cnomodule_xyz\nX\n."],
+        ids=["not-a-pickle", "unknown-protocol", "missing-module"],
+    )
+    def test_corrupt_entry_is_a_miss(self, tmp_path, garbage):
         cache = RunCache(tmp_path)
         cache.put("k" * 64, [1, 2, 3])
         entry = next(tmp_path.glob("*.pkl"))
-        entry.write_bytes(b"not a pickle")
+        entry.write_bytes(garbage)
         found, _ = cache.lookup("k" * 64)
         assert not found
+        assert cache.misses == 1
 
     def test_counters(self, tmp_path):
         cache = RunCache(tmp_path)
