@@ -34,9 +34,10 @@ class RequestPhase:
     QUEUED = "queued"
     RUNNING = "running"
     DONE = "done"
-    #: Removed from the scheduler before completion (client timeout or
-    #: worker crash).  A cancelled request may be re-submitted -- crash
-    #: re-dispatch and deadline retries do -- and then re-enters QUEUED.
+    #: Removed from the scheduler before completion (worker crash or
+    #: fleet failover drain).  A cancelled request may be re-submitted
+    #: -- crash re-dispatch and failover re-routes do -- and then
+    #: re-enters QUEUED.
     CANCELLED = "cancelled"
 
 

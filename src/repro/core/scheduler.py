@@ -18,7 +18,7 @@ The contract with the simulator's :class:`~repro.simulator.server.ThreadPoolServ
 4. ``complete(request, usage, now)`` exactly once at completion with the
    final usage increment (retroactive charging, paper §5);
 5. ``cancel(request, now)`` when a queued or running request is removed
-   before completion (client deadline, worker crash).  Cancellation
+   before completion (worker crash, fleet failover drain).  Cancellation
    refunds every charge the scheduler applied, so a cancelled request
    leaves the virtual-time state as if it had never been dispatched,
    and is idempotent: cancelling a DONE or already-CANCELLED request is
@@ -227,7 +227,7 @@ class Scheduler(ABC):
         harmless in either order.
 
         The cancelled request's charging bookkeeping is reset so it can
-        be re-submitted (crash re-dispatch, deadline retry) with its
+        be re-submitted (crash re-dispatch, failover re-route) with its
         identity -- seqno, arrival time -- intact.
         """
         phase = request.phase

@@ -82,7 +82,6 @@ def degradation_plan(config: ExperimentConfig) -> FaultPlan:
             WorkerSlowdown(worker=1, start=0.30 * d, end=0.60 * d, factor=0.0),
         ),
         crashes=(WorkerCrash(worker=2, at=0.40 * d, restart_at=0.70 * d),),
-        seed=config.seed,
     )
 
 

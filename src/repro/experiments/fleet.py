@@ -120,14 +120,11 @@ def fleet_population(
     return specs
 
 
-def fleet_crash_plan(
-    duration: float, server: int = 1, seed: int = 0
-) -> FaultPlan:
+def fleet_crash_plan(duration: float, server: int = 1) -> FaultPlan:
     """The canned figfleet fault: one server dies at 35% of the run and
     never comes back."""
     return FaultPlan(
-        server_crashes=(ServerCrash(server=server, at=0.35 * duration),),
-        seed=seed,
+        server_crashes=(ServerCrash(server=server, at=0.35 * duration),)
     )
 
 
@@ -212,7 +209,7 @@ def run_fleet(
             server.attach_tracer(tracer)
             server.scheduler.attach_tracer(tracer)
         if session is not None:
-            flight = FlightRecorder(capacity=session.flight_events)
+            flight = FlightRecorder()
             tracer.add_sink(flight.on_event)
     collector = FleetCollector(
         fleet, sample_interval=sample_interval, warmup=warmup

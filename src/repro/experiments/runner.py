@@ -130,7 +130,7 @@ def run_single(
         server.attach_tracer(tracer)
         collector.attach_tracer(tracer)
         if session is not None:
-            flight = FlightRecorder(capacity=session.flight_events)
+            flight = FlightRecorder()
             tracer.add_sink(flight.on_event)
             if auditor is None and session.audit is not None:
                 audit_config = session.audit

@@ -5,10 +5,11 @@ this package makes degradation a reproducible experiment input:
 
 * :class:`FaultPlan` (:mod:`repro.faults.plan`) -- a frozen, JSON
   round-trippable description of worker slowdowns/stalls, crashes (with
-  in-flight re-dispatch), client deadlines with retry/backoff/jitter,
-  and estimator outage/bias windows;
+  in-flight re-dispatch), estimator outage/bias windows and fleet
+  server crashes;
 * :class:`FaultInjector` (:mod:`repro.faults.injector`) -- schedules the
-  plan's faults as ordinary events in the run's simulation loop;
+  plan's worker and estimator faults as ordinary events in the run's
+  simulation loop;
 * :class:`FaultyEstimator` (:mod:`repro.faults.estimator`) -- the
   time-windowed estimator perturbation.
 
@@ -26,25 +27,19 @@ or end to end: ``python -m repro.figures figfault --faults plan.json``.
 from .estimator import FaultyEstimator
 from .injector import FaultInjector
 from .plan import (
-    DeadlinePolicy,
     EstimatorFault,
     FaultPlan,
     ServerCrash,
-    ServerSlowdown,
     WorkerCrash,
     WorkerSlowdown,
-    retry_delay,
 )
 
 __all__ = [
     "FaultPlan",
     "WorkerSlowdown",
     "WorkerCrash",
-    "DeadlinePolicy",
     "EstimatorFault",
     "ServerCrash",
-    "ServerSlowdown",
     "FaultInjector",
     "FaultyEstimator",
-    "retry_delay",
 ]

@@ -3,10 +3,10 @@ against one :class:`~repro.simulator.server.ThreadPoolServer`.
 
 Every fault is realized as ordinary discrete events in the run's own
 simulation loop, so fault timing interleaves deterministically with the
-workload: same plan + same seed = same run.  Installation is strictly
-additive -- a run without an injector (or with an empty plan) executes
-exactly the pre-fault code paths, which is what keeps the fault-free
-differential tests bit-identical.
+workload: same plan + same workload seed = same run.  Installation is
+strictly additive -- a run without an injector (or with an empty plan)
+executes exactly the pre-fault code paths, which is what keeps the
+fault-free differential tests bit-identical.
 
 The injector reports what it does through the run's tracer (``fault``
 events + ``faults.*`` counters) when one is attached, and keeps its own
@@ -17,18 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..core.request import Request, RequestPhase
 from ..errors import ConfigurationError
-from ..simulator.rng import make_rng
 from ..simulator.server import ThreadPoolServer
 from .estimator import FaultyEstimator
-from .plan import (
-    DeadlinePolicy,
-    FaultPlan,
-    WorkerCrash,
-    WorkerSlowdown,
-    retry_delay,
-)
+from .plan import FaultPlan, WorkerCrash, WorkerSlowdown
 
 __all__ = ["FaultInjector"]
 
@@ -40,7 +32,7 @@ class FaultInjector:
     ``config.fault_plan`` is set)::
 
         injector = FaultInjector(server, plan)
-        injector.install()                # slowdowns, crashes, deadlines
+        injector.install()                # slowdowns, stalls, crashes
         injector.wire_estimator(scheduler)  # estimator outage/bias windows
         sim.run(...)
         injector.counts                   # summary for the manifest
@@ -49,28 +41,23 @@ class FaultInjector:
     def __init__(self, server: ThreadPoolServer, plan: FaultPlan) -> None:
         self.server = server
         self.plan = plan
-        self._rng = make_rng(plan.seed, "faults", "jitter")
-        self._attempts: Dict[int, int] = {}  # seqno -> retries so far
         self.counts: Dict[str, int] = {
             "slowdowns": 0,
             "crashes": 0,
             "restarts": 0,
-            "deadline_expiries": 0,
-            "retries": 0,
-            "abandoned": 0,
         }
 
     # -- installation -----------------------------------------------------------
 
     def install(self) -> None:
-        """Schedule every worker/deadline fault; idempotence is the
-        caller's concern (install once per run)."""
+        """Schedule every worker fault; idempotence is the caller's
+        concern (install once per run)."""
         if self.plan.has_fleet_faults:
             raise ConfigurationError(
                 "fault plan contains fleet-granularity faults "
-                "(server_crashes/server_slowdowns); a single-server run "
-                "cannot execute them -- run the plan through a "
-                "repro.fleet.Fleet + FleetInjector instead"
+                "(server_crashes); a single-server run cannot execute "
+                "them -- run the plan through a repro.fleet.Fleet + "
+                "FleetInjector instead"
             )
         sim = self.server.sim
         workers = len(self.server.workers)
@@ -85,8 +72,6 @@ class FaultInjector:
             sim.at(crash.at, self._crash, crash)
             if crash.restart_at is not None:
                 sim.at(crash.restart_at, self._restore, crash)
-        if self.plan.deadlines:
-            self.server.on_submit(self._watch_deadline)
 
     def wire_estimator(self, scheduler) -> None:
         """Wrap the scheduler's estimator in a
@@ -144,63 +129,6 @@ class FaultInjector:
         if reindex is not None:
             reindex()
         self._trace_fault(f"estimator_{fault.mode}_{edge}")
-
-    # -- deadlines --------------------------------------------------------------
-
-    def _watch_deadline(self, request: Request) -> None:
-        policy = self.plan.policy_for(request.tenant_id)
-        if policy is None:
-            return
-        self.server.sim.after(policy.deadline, self._expire, request, policy)
-
-    def _expire(self, request: Request, policy: DeadlinePolicy) -> None:
-        phase = request.phase
-        if phase != RequestPhase.QUEUED and phase != RequestPhase.RUNNING:
-            return  # completed (or already torn down) before the deadline
-        if not self.server.abort(request):
-            return
-        self.counts["deadline_expiries"] += 1
-        self._trace_fault(
-            "deadline_expired",
-            tenant=request.tenant_id,
-            seqno=request.seqno,
-            was_running=phase == RequestPhase.RUNNING,
-        )
-        attempts = self._attempts.get(request.seqno, 0)
-        if attempts < policy.max_retries:
-            self._attempts[request.seqno] = attempts + 1
-            delay = retry_delay(
-                policy.backoff,
-                policy.growth,
-                policy.jitter,
-                attempts,
-                float(self._rng.uniform(0.0, 1.0)),
-            )
-            self.server.sim.after(delay, self._retry, request)
-        else:
-            self.counts["abandoned"] += 1
-            self._trace_fault(
-                "abandoned", tenant=request.tenant_id, seqno=request.seqno
-            )
-            source = request.source
-            if source is not None:
-                # The client gave up; closed-loop tenants move on to
-                # their next request rather than wedging forever.
-                source.on_request_complete(request)
-
-    def _retry(self, request: Request) -> None:
-        if request.phase != RequestPhase.CANCELLED:
-            return  # re-submitted or torn down through another path
-        self.counts["retries"] += 1
-        self._trace_fault(
-            "retry",
-            tenant=request.tenant_id,
-            seqno=request.seqno,
-            attempt=self._attempts.get(request.seqno, 0),
-        )
-        # A retry is a fresh client submission: arrival time moves to
-        # now and the deadline listener arms a new timer for it.
-        self.server.submit(request)
 
     # -- tracing ----------------------------------------------------------------
 

@@ -1,5 +1,5 @@
-"""The fault-plan DSL: a declarative, seeded description of every fault
-injected into one run.
+"""The fault-plan DSL: a declarative description of every fault injected
+into one run.
 
 The paper's thesis is that 2DFQ/2DFQ^E preserve fairness exactly when
 the real world misbehaves (PAPER.md §3, §5.3); a :class:`FaultPlan`
@@ -12,10 +12,9 @@ content-addressed run-cache key exactly like every other parameter
 collide in the cache).
 
 Determinism contract (DESIGN.md §11): every fault fires at a plan-fixed
-simulated time through the discrete-event loop, and the only randomness
--- retry jitter -- comes from a :func:`~repro.simulator.rng.make_rng`
-stream keyed on ``plan.seed``.  Same plan + same workload seed = same
-run, event for event.
+simulated time through the discrete-event loop and a plan draws no
+random numbers.  Same plan + same workload seed = same run, event for
+event.
 
 Fault vocabulary:
 
@@ -23,20 +22,20 @@ Fault vocabulary:
   during ``[start, end)``; ``factor=0`` is a full stall.
 * :class:`WorkerCrash` -- a worker dies at ``at`` (its in-flight request
   loses all progress and is re-dispatched) and optionally restarts.
-* :class:`DeadlinePolicy` -- client-side request deadlines with bounded
-  retries under exponential backoff + jitter (the Cake/Retro-style SLO
-  client, PAPERS.md).
 * :class:`EstimatorFault` -- during ``[start, end)`` the cost estimator
   suffers an outage (estimates pinned to a pessimistic fallback,
   observations lost) or a multiplicative bias.
-* :class:`ServerCrash` / :class:`ServerSlowdown` -- fleet-granularity
-  faults: an entire :class:`~repro.simulator.server.ThreadPoolServer`
-  in a :class:`~repro.fleet.Fleet` dies (optionally restarting) or runs
-  degraded during a window.  Only the fleet-level injector
-  (:class:`~repro.fleet.FleetInjector`) can execute these; the
-  single-server :class:`~repro.faults.injector.FaultInjector` rejects
-  plans containing them instead of silently ignoring a whole fault
-  tier.
+* :class:`ServerCrash` -- the fleet-granularity fault: an entire
+  :class:`~repro.simulator.server.ThreadPoolServer` in a
+  :class:`~repro.fleet.Fleet` dies, optionally restarting.  Only the
+  fleet-level injector (:class:`~repro.fleet.FleetInjector`) can
+  execute it; the single-server
+  :class:`~repro.faults.injector.FaultInjector` rejects plans
+  containing it instead of silently ignoring a whole fault tier.
+
+A worker's slowdown windows and crash down-times (``[at, restart_at)``,
+open-ended without a restart) must not overlap: each window sets the
+worker's speed outright, so overlapping windows would not compose.
 """
 
 from __future__ import annotations
@@ -45,36 +44,17 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
 
 __all__ = [
     "WorkerSlowdown",
     "WorkerCrash",
-    "DeadlinePolicy",
     "EstimatorFault",
     "ServerCrash",
-    "ServerSlowdown",
     "FaultPlan",
-    "retry_delay",
 ]
-
-
-def retry_delay(
-    backoff: float, growth: float, jitter: float, attempt: int, u: float
-) -> float:
-    """Exponential-backoff retry delay with bounded jitter.
-
-    ``backoff * growth**attempt`` stretched by up to ``jitter`` via the
-    caller-supplied uniform draw ``u`` in ``[0, 1)`` (seeded upstream,
-    so the delay is deterministic per run).  This single formula is the
-    client backoff of :class:`DeadlinePolicy` *and* the failover
-    re-route backoff of :class:`repro.fleet.FailoverPolicy` -- sharing
-    it keeps the two retry tiers comparable in figures.
-    """
-    delay = backoff * (growth ** attempt)
-    return delay * (1.0 + jitter * u)
 
 
 def _check_window(start: float, end: float, what: str) -> None:
@@ -137,49 +117,6 @@ class WorkerCrash:
             raise ConfigurationError(
                 f"restart_at must be after the crash, got {self.restart_at} <= {self.at}"
             )
-
-
-@dataclass(frozen=True)
-class DeadlinePolicy:
-    """Client-side deadline + retry behaviour for submitted requests.
-
-    A request not completed within ``deadline`` seconds of its (latest)
-    submission is aborted and, while attempts remain, re-submitted after
-    ``backoff * growth**attempt`` seconds stretched by up to ``jitter``
-    (seeded, uniform).  An exhausted request is abandoned: its closed-
-    loop source is notified so backlogged tenants keep issuing work.
-
-    ``tenants = None`` applies the policy to every tenant; otherwise
-    only to the listed tenant ids.
-    """
-
-    deadline: float
-    max_retries: int = 0
-    backoff: float = 0.05
-    growth: float = 2.0
-    jitter: float = 0.1
-    tenants: Optional[Tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.deadline <= 0:
-            raise ConfigurationError(
-                f"deadline must be positive, got {self.deadline}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff < 0 or self.growth < 1.0 or self.jitter < 0:
-            raise ConfigurationError(
-                "backoff must be >= 0, growth >= 1, jitter >= 0; got "
-                f"backoff={self.backoff}, growth={self.growth}, "
-                f"jitter={self.jitter}"
-            )
-        if self.tenants is not None:
-            object.__setattr__(self, "tenants", tuple(self.tenants))
-
-    def applies_to(self, tenant_id: str) -> bool:
-        return self.tenants is None or tenant_id in self.tenants
 
 
 @dataclass(frozen=True)
@@ -254,44 +191,39 @@ class ServerCrash:
             )
 
 
-@dataclass(frozen=True)
-class ServerSlowdown:
-    """Server ``server`` runs every worker at ``factor`` x nominal rate
-    in ``[start, end)`` -- a degraded-but-alive machine (thermal
-    throttling, a noisy neighbour), not a dead one.  ``factor = 0.0``
-    stalls the whole server; unlike :class:`ServerCrash` it stays
-    routable, so the figure for it shows queueing, not loss."""
-
-    server: int
-    start: float
-    end: float
-    factor: float
-
-    def __post_init__(self) -> None:
-        if self.server < 0:
-            raise ConfigurationError(
-                f"server index must be >= 0, got {self.server}"
-            )
-        _check_window(self.start, self.end, "server slowdown")
-        if self.factor < 0:
-            raise ConfigurationError(
-                f"slowdown factor must be >= 0, got {self.factor}"
-            )
-
-
 _KIND_CLASSES = {
     "slowdowns": WorkerSlowdown,
     "crashes": WorkerCrash,
-    "deadlines": DeadlinePolicy,
     "estimator_faults": EstimatorFault,
     "server_crashes": ServerCrash,
-    "server_slowdowns": ServerSlowdown,
 }
+
+
+def _check_worker_windows(
+    slowdowns: Tuple[WorkerSlowdown, ...], crashes: Tuple[WorkerCrash, ...]
+) -> None:
+    """Reject overlapping slowdown windows / crash down-times on one worker."""
+    windows: Dict[int, List[Tuple[float, float, str]]] = {}
+    for slowdown in slowdowns:
+        windows.setdefault(slowdown.worker, []).append(
+            (slowdown.start, slowdown.end, "slowdown")
+        )
+    for crash in crashes:
+        end = float("inf") if crash.restart_at is None else crash.restart_at
+        windows.setdefault(crash.worker, []).append((crash.at, end, "crash"))
+    for worker, spans in windows.items():
+        spans.sort()
+        for (s1, e1, k1), (s2, e2, k2) in zip(spans, spans[1:]):
+            if s2 < e1:
+                raise ConfigurationError(
+                    f"worker {worker}: {k1} window [{s1}, {e1}) overlaps "
+                    f"{k2} window [{s2}, {e2})"
+                )
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Every fault injected into one run, plus the jitter seed.
+    """Every fault injected into one run.
 
     An empty plan (the default) is inert: the injector installs nothing
     and the run is bit-identical to an unfaulted one (the differential
@@ -300,11 +232,8 @@ class FaultPlan:
 
     slowdowns: Tuple[WorkerSlowdown, ...] = ()
     crashes: Tuple[WorkerCrash, ...] = ()
-    deadlines: Tuple[DeadlinePolicy, ...] = ()
     estimator_faults: Tuple[EstimatorFault, ...] = ()
     server_crashes: Tuple[ServerCrash, ...] = ()
-    server_slowdowns: Tuple[ServerSlowdown, ...] = ()
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name, cls in _KIND_CLASSES.items():
@@ -318,30 +247,22 @@ class FaultPlan:
                         f"{name} entries must be {cls.__name__}, got {type(item).__name__}"
                     )
             object.__setattr__(self, name, items)
+        _check_worker_windows(self.slowdowns, self.crashes)
 
     @property
     def is_empty(self) -> bool:
         return not (
             self.slowdowns
             or self.crashes
-            or self.deadlines
             or self.estimator_faults
             or self.server_crashes
-            or self.server_slowdowns
         )
 
     @property
     def has_fleet_faults(self) -> bool:
         """True when the plan contains fleet-granularity faults, which
         only :class:`repro.fleet.FleetInjector` can execute."""
-        return bool(self.server_crashes or self.server_slowdowns)
-
-    def policy_for(self, tenant_id: str) -> Optional[DeadlinePolicy]:
-        """The first deadline policy applying to ``tenant_id``."""
-        for policy in self.deadlines:
-            if policy.applies_to(tenant_id):
-                return policy
-        return None
+        return bool(self.server_crashes)
 
     # -- JSON round trip ------------------------------------------------------
 
@@ -350,17 +271,13 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        kwargs: Dict[str, Any] = {"seed": int(data.get("seed", 0))}
-        for name, item_cls in _KIND_CLASSES.items():
-            kwargs[name] = tuple(
-                item_cls(**item) for item in data.get(name, ())
-            )
-        unknown = set(data) - set(kwargs)
+        unknown = set(data) - set(_KIND_CLASSES)
         if unknown:
             raise ConfigurationError(
                 f"unknown fault plan keys: {sorted(unknown)}"
             )
-        return cls(**kwargs)
+        # __post_init__ coerces the item dicts to their fault classes.
+        return cls(**{name: tuple(data.get(name, ())) for name in _KIND_CLASSES})
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -242,8 +242,8 @@ def figfault(args: argparse.Namespace) -> str:
     plan = result.plan
     text += (
         f"\n\nfault plan: {len(plan.slowdowns)} slowdown(s), "
-        f"{len(plan.crashes)} crash(es), {len(plan.deadlines)} deadline "
-        f"policy(ies), {len(plan.estimator_faults)} estimator window(s)"
+        f"{len(plan.crashes)} crash(es), "
+        f"{len(plan.estimator_faults)} estimator window(s)"
     )
     return text
 
@@ -278,10 +278,7 @@ def figfleet(args: argparse.Namespace) -> str:
         result.ablation_rows(),
     )
     plan = result.plan
-    text += (
-        f"\n\nfault plan: {len(plan.server_crashes)} server crash(es), "
-        f"{len(plan.server_slowdowns)} server slowdown(s), seed {plan.seed}"
-    )
+    text += f"\n\nfault plan: {len(plan.server_crashes)} server crash(es)"
     return text
 
 

@@ -11,8 +11,7 @@ Layer map (DESIGN.md §16):
 * :mod:`repro.fleet.health` -- the sim-time failure detector bounding
   the crash-to-detection window;
 * :mod:`repro.fleet.injector` -- executes the fleet-granularity faults
-  (``server_crashes`` / ``server_slowdowns``) of a
-  :class:`~repro.faults.plan.FaultPlan`;
+  (``server_crashes``) of a :class:`~repro.faults.plan.FaultPlan`;
 * :mod:`repro.fleet.metrics` -- per-tenant service aggregated across
   servers vs a fleet-wide GPS reference (cluster fairness).
 """

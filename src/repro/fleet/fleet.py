@@ -42,7 +42,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Uni
 
 from ..core.request import Request
 from ..errors import ConfigurationError
-from ..faults.plan import retry_delay
 from ..obs.tracer import Tracer
 from ..simulator.clock import Simulation
 from ..simulator.rng import make_rng
@@ -62,10 +61,8 @@ REJECT_RETRY_DELAY = 0.02
 class FailoverPolicy:
     """Retry budget for crash failover.
 
-    The backoff schedule is shared with single-server deadline retries
-    (:func:`repro.faults.plan.retry_delay`): attempt ``k`` waits
-    ``backoff * growth**k`` seconds, stretched by up to ``jitter``
-    uniform fraction.
+    Attempt ``k`` waits ``backoff * growth**k`` seconds, stretched by up
+    to ``jitter`` uniform fraction (:meth:`delay`).
     """
 
     max_retries: int = 3
@@ -84,6 +81,11 @@ class FailoverPolicy:
                 f"backoff={self.backoff}, growth={self.growth}, "
                 f"jitter={self.jitter}"
             )
+
+    def delay(self, attempt: int, u: float) -> float:
+        """Backoff before failover attempt ``attempt``; ``u`` is a
+        uniform draw in ``[0, 1)`` from the fleet's seeded stream."""
+        return self.backoff * (self.growth ** attempt) * (1.0 + self.jitter * u)
 
 
 class Fleet:
@@ -350,12 +352,6 @@ class Fleet:
         if trace is not None:
             trace.fault(self.sim.now, "server_restore", server=index)
 
-    def set_server_speed(self, index: int, factor: float) -> None:
-        """Scale every worker of one server (ServerSlowdown windows)."""
-        server = self.servers[index]
-        for worker in server.workers:
-            server.set_worker_speed(worker.index, factor)
-
     # -- health transitions (driven by HealthMonitor) ----------------------
 
     def mark_down(self, index: int) -> None:
@@ -425,13 +421,7 @@ class Fleet:
             self._abandon(request)
             return
         self._attempts[request.seqno] = attempts + 1
-        delay = retry_delay(
-            policy.backoff,
-            policy.growth,
-            policy.jitter,
-            attempts,
-            float(self._rng.uniform(0.0, 1.0)),
-        )
+        delay = policy.delay(attempts, float(self._rng.uniform(0.0, 1.0)))
         self._pending_retry[request.seqno] = request
         self.sim.after(delay, self._fire_retry, request)
 

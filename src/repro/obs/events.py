@@ -34,13 +34,16 @@ Event taxonomy (the ``kind`` field; see DESIGN.md §9):
     A cost estimator absorbed a completed request's measured cost
     (``observe``); carries the old and new per-(tenant, API) estimates.
 ``cancel``
-    A queued or running request was removed before completion (client
-    deadline, worker crash) and its charges refunded.  Carries whether
-    the request was running and the backlog after removal.
+    A queued or running request was removed before completion (worker
+    crash, fleet failover drain) and its charges refunded.  Carries
+    whether the request was running and the backlog after removal.
 ``fault``
-    The fault injector (:mod:`repro.faults`) perturbed the run: worker
-    slowdown/stall window edges, crashes and restarts, deadline
-    expiries, retries, abandonments.  ``data["fault"]`` names the kind.
+    A fault perturbed the run: from the fault injector
+    (:mod:`repro.faults`), worker slowdown/stall window edges, crashes
+    and restarts, estimator window edges; from the fleet
+    (:mod:`repro.fleet`), server crashes and restores, detections,
+    recoveries, failover drains and abandonments.  ``data["fault"]``
+    names the kind.
 ``invariant``
     The runtime watchdog (:mod:`repro.validate`) observed a scheduler
     invariant violation.  Carries the invariant code and the event

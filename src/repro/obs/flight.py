@@ -19,13 +19,16 @@ from __future__ import annotations
 
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Tuple, Union
+from typing import Any, Deque, Dict, List, Union
 
 import json
 
 from .events import FAULT, INVARIANT, TraceEvent
 
 __all__ = ["FlightRecorder"]
+
+#: Event kinds that snapshot the ring into a dump.
+TRIGGER_KINDS = (FAULT, INVARIANT)
 
 
 class FlightRecorder:
@@ -34,11 +37,9 @@ class FlightRecorder:
     def __init__(
         self,
         capacity: int = 2048,
-        trigger_kinds: Tuple[str, ...] = (FAULT, INVARIANT),
         max_dumps: int = 4,
     ) -> None:
         self.capacity = capacity
-        self.trigger_kinds = trigger_kinds
         self.max_dumps = max_dumps
         self.events_seen = 0
         self.suppressed_dumps = 0
@@ -50,7 +51,7 @@ class FlightRecorder:
         """Tracer sink: record the event; dump if it is a trigger."""
         self._ring.append(event)
         self.events_seen += 1
-        if event.kind in self.trigger_kinds:
+        if event.kind in TRIGGER_KINDS:
             self._dump(event)
 
     def _dump(self, trigger: TraceEvent) -> None:
@@ -69,7 +70,7 @@ class FlightRecorder:
         """JSON-ready artifact body (written only when dumps exist)."""
         return {
             "capacity": self.capacity,
-            "trigger_kinds": list(self.trigger_kinds),
+            "trigger_kinds": list(TRIGGER_KINDS),
             "events_seen": self.events_seen,
             "suppressed_dumps": self.suppressed_dumps,
             "dumps": self.dumps,

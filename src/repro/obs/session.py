@@ -69,15 +69,12 @@ class TraceSession:
         directory: Union[str, Path],
         max_events: Optional[int] = 1_000_000,
         audit: Optional[AuditConfig] = None,
-        flight_events: int = 2048,
     ) -> None:
         self.directory = Path(directory)
         self.max_events = max_events
         #: Non-``None`` makes this an audited session: the runner builds
         #: a :class:`FairnessAuditor` per run from this config.
         self.audit = audit
-        #: Ring capacity for the per-run flight recorder.
-        self.flight_events = flight_events
         self.runs: List[str] = []
         #: Quarantined-cell error records (JSON-ready), in failure order.
         self.errors: List[Dict[str, Any]] = []
@@ -214,14 +211,11 @@ def trace_session(
     directory: Union[str, Path],
     max_events: Optional[int] = 1_000_000,
     audit: Optional[AuditConfig] = None,
-    flight_events: int = 2048,
 ) -> Iterator[TraceSession]:
     """Activate a :class:`TraceSession` for the duration of the block."""
     global _ACTIVE
     previous = _ACTIVE
-    session = TraceSession(
-        directory, max_events=max_events, audit=audit, flight_events=flight_events
-    )
+    session = TraceSession(directory, max_events=max_events, audit=audit)
     _ACTIVE = session
     try:
         yield session

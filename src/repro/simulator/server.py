@@ -211,14 +211,11 @@ class ThreadPoolServer:
                 total += min(progress, request.cost)
         return total
 
-    def running_requests(self) -> List[Request]:
-        """Requests currently executing (one per busy worker)."""
-        return [w.request for w in self.workers if w.request is not None]
-
     # -- fault injection ----------------------------------------------------------
     #
-    # These hooks are only ever called by repro.faults; a fault-free run
-    # never reaches them, so the hot path is untouched (DESIGN.md §11).
+    # These hooks are only ever called by repro.faults and repro.fleet; a
+    # fault-free run never reaches them, so the hot path is untouched
+    # (DESIGN.md §11).
 
     def set_worker_speed(self, index: int, speed: Scalar) -> None:
         """Change a worker's processing speed (1.0 healthy, 0.0 stalled).
@@ -278,10 +275,11 @@ class ThreadPoolServer:
         return request
 
     def restore_worker(self, index: int) -> None:
-        """Bring a crashed worker back at full speed and offer it work."""
+        """Bring a crashed worker back and offer it work.  The worker
+        keeps its speed (a crash does not change it), so a slowdown
+        window that opens at the restart instant still holds."""
         worker = self.workers[index]
         worker.crashed = False
-        worker.speed = 1.0
         self._dispatch_idle()
         self._ensure_refresh_timer()
 
@@ -323,7 +321,7 @@ class ThreadPoolServer:
         self._ensure_refresh_timer()
 
     def abort(self, request: Request) -> bool:
-        """Cancel a submitted request (client-side deadline/cancellation).
+        """Cancel a submitted request (the fleet's failover drain).
 
         Works in either lifecycle phase: a queued request is removed
         from the scheduler, a running one is torn off its worker (its

@@ -2,8 +2,8 @@
 
 Behavioral tests drive a real :class:`ThreadPoolServer` + scheduler
 through a :class:`FaultInjector` and check the piecewise-progress
-arithmetic, crash re-dispatch, deadline retry/abandon, and the summary
-counts/trace events, all hand-derivable from the plan times.
+arithmetic, crash re-dispatch, and the summary counts/trace events, all
+hand-derivable from the plan times.
 
 The golden crash-trace test pins the *exact* event stream of a tiny
 2-tenant 2DFQ run with one injected worker crash against
@@ -30,7 +30,6 @@ from repro.errors import ConfigurationError
 from repro.estimation.base import CostEstimator
 from repro.experiments import ExperimentConfig, run_comparison
 from repro.faults import (
-    DeadlinePolicy,
     EstimatorFault,
     FaultInjector,
     FaultPlan,
@@ -71,13 +70,9 @@ class TestPlanDSL:
         return FaultPlan(
             slowdowns=(WorkerSlowdown(worker=0, start=1.0, end=2.0, factor=0.5),),
             crashes=(WorkerCrash(worker=1, at=0.5, restart_at=3.0),),
-            deadlines=(
-                DeadlinePolicy(deadline=1.0, max_retries=2, tenants=("A", "B")),
-            ),
             estimator_faults=(
                 EstimatorFault(start=0.0, end=1.0, mode="bias", bias=2.0),
             ),
-            seed=7,
         )
 
     def test_json_round_trip(self):
@@ -100,14 +95,9 @@ class TestPlanDSL:
         assert plan.crashes[0] == WorkerCrash(worker=0, at=1.0)
         assert plan.slowdowns[0].factor == 0.0
 
-    def test_is_empty_and_policy_for(self):
+    def test_is_empty(self):
         assert FaultPlan().is_empty
-        plan = self.full_plan()
-        assert not plan.is_empty
-        assert plan.policy_for("A").deadline == 1.0
-        assert plan.policy_for("Z") is None
-        catch_all = FaultPlan(deadlines=(DeadlinePolicy(deadline=2.0),))
-        assert catch_all.policy_for("anyone").deadline == 2.0
+        assert not self.full_plan().is_empty
 
     @pytest.mark.parametrize(
         "build",
@@ -117,13 +107,32 @@ class TestPlanDSL:
             lambda: WorkerSlowdown(worker=0, start=0.0, end=1.0, factor=-0.1),
             lambda: WorkerCrash(worker=0, at=-1.0),
             lambda: WorkerCrash(worker=0, at=2.0, restart_at=1.0),
-            lambda: DeadlinePolicy(deadline=0.0),
-            lambda: DeadlinePolicy(deadline=1.0, max_retries=-1),
-            lambda: DeadlinePolicy(deadline=1.0, growth=0.5),
             lambda: EstimatorFault(start=0.0, end=1.0, mode="wat"),
             lambda: EstimatorFault(start=0.0, end=1.0, bias=0.0),
             lambda: EstimatorFault(start=0.0, end=1.0, fallback=-1.0),
             lambda: FaultPlan(crashes=("not-a-crash",)),
+            # One worker's windows must not overlap: each sets its speed
+            # outright, so overlapping windows would not compose.
+            lambda: FaultPlan(
+                slowdowns=(
+                    WorkerSlowdown(worker=0, start=1.0, end=5.0, factor=0.5),
+                    WorkerSlowdown(worker=0, start=2.0, end=4.0, factor=0.25),
+                )
+            ),
+            lambda: FaultPlan(
+                slowdowns=(WorkerSlowdown(worker=0, start=1.0, end=5.0, factor=0.5),),
+                crashes=(WorkerCrash(worker=0, at=2.0, restart_at=3.0),),
+            ),
+            lambda: FaultPlan(
+                slowdowns=(WorkerSlowdown(worker=0, start=4.0, end=5.0, factor=0.5),),
+                crashes=(WorkerCrash(worker=0, at=2.0),),  # never restarts
+            ),
+            lambda: FaultPlan(
+                crashes=(
+                    WorkerCrash(worker=0, at=1.0, restart_at=3.0),
+                    WorkerCrash(worker=0, at=2.0, restart_at=4.0),
+                )
+            ),
         ],
     )
     def test_invalid_plans_rejected(self, build):
@@ -133,6 +142,28 @@ class TestPlanDSL:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
             FaultPlan.from_dict({"slowdown": []})  # typo'd key
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("deadlines", []), ("server_slowdowns", []), ("seed", 0)],
+    )
+    def test_from_dict_rejects_retired_keys(self, key, value):
+        # Client deadlines, server slowdowns and the jitter seed are no
+        # longer part of the vocabulary: a plan naming them fails loudly
+        # instead of running without them.
+        with pytest.raises(ConfigurationError, match=key):
+            FaultPlan.from_dict({key: value})
+
+    def test_windows_on_distinct_workers_or_times_are_accepted(self):
+        plan = FaultPlan(
+            slowdowns=(
+                WorkerSlowdown(worker=0, start=1.0, end=2.0, factor=0.5),
+                WorkerSlowdown(worker=0, start=2.0, end=3.0, factor=0.25),
+                WorkerSlowdown(worker=1, start=1.0, end=5.0, factor=0.0),
+            ),
+            crashes=(WorkerCrash(worker=0, at=3.0, restart_at=4.0),),
+        )
+        assert len(plan.slowdowns) == 3
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -229,6 +260,19 @@ class TestWorkerFaults:
         assert b.completion_time == pytest.approx(1.0)
         assert a.completion_time == pytest.approx(2.0)
 
+    def test_slowdown_opening_at_restart_holds(self):
+        # Down-time [1, 2) then a slowdown from the restart instant: the
+        # restart must not reset the speed the slowdown has just set.
+        plan = FaultPlan(
+            slowdowns=(WorkerSlowdown(worker=0, start=2.0, end=4.0, factor=0.5),),
+            crashes=(WorkerCrash(worker=0, at=1.0, restart_at=2.0),),
+        )
+        sim, _, server, _ = make_server(plan, scheduler_name="fifo")
+        sim.run(until=3.0)
+        assert server.workers[0].speed == 0.5
+        sim.run(until=5.0)
+        assert server.workers[0].speed == 1.0
+
     def test_plan_for_larger_pool_skips_missing_workers(self):
         plan = FaultPlan(
             slowdowns=(WorkerSlowdown(worker=5, start=0.1, end=0.2, factor=0.0),),
@@ -260,92 +304,6 @@ class TestWorkerFaults:
         snap = tracer.registry.snapshot()
         assert snap["faults.worker_crash"] == 1
         assert snap["faults.slowdown_begin"] == 1
-
-
-class TestDeadlines:
-    def policy(self, **overrides):
-        base = dict(
-            deadline=1.1, max_retries=1, backoff=0.5, growth=2.0,
-            jitter=0.0, tenants=("T",),
-        )
-        base.update(overrides)
-        return FaultPlan(deadlines=(DeadlinePolicy(**base),))
-
-    def test_queued_expiry_retries_and_succeeds(self):
-        # R2 misses its 1.1s deadline stuck behind a 1.2s request,
-        # retries 0.5s later (backoff * growth^0, no jitter) and runs on
-        # the by-then-idle worker: completion at 1.6 + 1.0 = 2.6.
-        sim, _, server, injector = make_server(self.policy())
-        slow = Request(tenant_id="SLOW", cost=1.2)
-        timed = Request(tenant_id="T", cost=1.0)
-        sim.at(0.0, server.submit, slow)
-        sim.at(0.0, server.submit, timed)
-        sim.run(until=10.0)
-        assert timed.completion_time == pytest.approx(2.6)
-        assert server.completed_requests == 2
-        assert injector.counts["deadline_expiries"] == 1
-        assert injector.counts["retries"] == 1
-        assert injector.counts["abandoned"] == 0
-
-    def test_exhausted_retries_abandon_and_notify_source(self):
-        class FakeSource:
-            completed = ()
-
-            def on_request_complete(self, request):
-                self.completed += (request,)
-
-        source = FakeSource()
-        sim, _, server, injector = make_server(self.policy(max_retries=0))
-        slow = Request(tenant_id="SLOW", cost=5.0)
-        timed = Request(tenant_id="T", cost=1.0, source=source)
-        sim.at(0.0, server.submit, slow)
-        sim.at(0.0, server.submit, timed)
-        sim.run(until=10.0)
-        assert timed.phase == RequestPhase.CANCELLED
-        assert source.completed == (timed,)  # closed loop keeps moving
-        assert injector.counts["abandoned"] == 1
-        assert injector.counts["retries"] == 0
-        assert server.completed_requests == 1  # only SLOW
-
-    def test_running_request_torn_off_worker(self):
-        tracer = Tracer("deadline")
-        sim, _, server, injector = make_server(
-            self.policy(max_retries=0), tracer=tracer
-        )
-        hog = Request(tenant_id="T", cost=5.0)
-        nxt = Request(tenant_id="SLOW", cost=1.0)
-        sim.at(0.0, server.submit, hog)
-        sim.at(0.0, server.submit, nxt)
-        sim.run(until=10.0)
-        # The hog was aborted mid-run at 1.1; the freed worker picked up
-        # the queued request immediately.
-        assert hog.phase == RequestPhase.CANCELLED
-        assert nxt.completion_time == pytest.approx(2.1)
-        (expired,) = [
-            e for e in tracer.of_kind("fault")
-            if e.data["fault"] == "deadline_expired"
-        ]
-        assert expired.data["was_running"] is True
-        assert expired.tenant == "T"
-        assert injector.counts["deadline_expiries"] == 1
-
-    def test_completion_before_deadline_is_not_expired(self):
-        sim, _, server, injector = make_server(self.policy())
-        quick = Request(tenant_id="T", cost=0.5)
-        sim.at(0.0, server.submit, quick)
-        sim.run(until=10.0)
-        assert quick.completion_time == pytest.approx(0.5)
-        assert injector.counts["deadline_expiries"] == 0
-
-    def test_policy_only_applies_to_listed_tenants(self):
-        sim, _, server, injector = make_server(self.policy(tenants=("OTHER",)))
-        slow = Request(tenant_id="SLOW", cost=1.2)
-        timed = Request(tenant_id="T", cost=1.0)
-        sim.at(0.0, server.submit, slow)
-        sim.at(0.0, server.submit, timed)
-        sim.run(until=10.0)
-        assert injector.counts["deadline_expiries"] == 0
-        assert timed.completion_time == pytest.approx(2.2)
 
 
 class StubEstimator(CostEstimator):
@@ -578,14 +536,7 @@ class TestGoldenCrashTrace:
         assert server.completed_requests == 5
         assert server.completed_cost("A") == pytest.approx(3.0)
         assert server.completed_cost("B") == pytest.approx(8.0)
-        assert injector.counts == {
-            "slowdowns": 0,
-            "crashes": 1,
-            "restarts": 1,
-            "deadline_expiries": 0,
-            "retries": 0,
-            "abandoned": 0,
-        }
+        assert injector.counts == {"slowdowns": 0, "crashes": 1, "restarts": 1}
 
     def test_golden_covers_fault_and_cancel_kinds(self):
         tracer, _, _ = run_crash_example()

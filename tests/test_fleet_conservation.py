@@ -59,7 +59,7 @@ def crash_scenarios(draw):
         crashes.append(ServerCrash(server=server, at=at, restart_at=restart))
     return {
         "num_servers": num_servers,
-        "plan": FaultPlan(server_crashes=tuple(crashes), seed=draw(st.integers(0, 99))),
+        "plan": FaultPlan(server_crashes=tuple(crashes)),
         "router": draw(st.sampled_from(router_names())),
         "seed": draw(st.integers(min_value=0, max_value=99)),
     }

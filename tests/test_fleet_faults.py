@@ -1,4 +1,4 @@
-"""Fleet-granularity faults: the ServerCrash/ServerSlowdown plan DSL,
+"""Fleet-granularity faults: the ServerCrash plan DSL,
 FleetInjector dispatch, the single-server/fleet injector boundary, and
 the flight-recorder dump pin for crash/failover trigger events.
 """
@@ -10,14 +10,7 @@ import pytest
 from repro.core.registry import make_scheduler
 from repro.core.request import Request
 from repro.errors import ConfigurationError
-from repro.faults import (
-    DeadlinePolicy,
-    FaultInjector,
-    FaultPlan,
-    ServerCrash,
-    ServerSlowdown,
-    WorkerSlowdown,
-)
+from repro.faults import FaultInjector, FaultPlan, ServerCrash, WorkerSlowdown
 from repro.fleet import FailoverPolicy, Fleet, FleetInjector
 from repro.obs import FlightRecorder, Tracer
 from repro.obs.events import FAULT
@@ -42,10 +35,6 @@ class TestFleetFaultPlan:
                 ServerCrash(server=1, at=0.5, restart_at=2.0),
                 ServerCrash(server=2, at=1.0),
             ),
-            server_slowdowns=(
-                ServerSlowdown(server=0, start=0.2, end=0.8, factor=0.25),
-            ),
-            seed=3,
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
         assert FaultPlan.from_dict(plan.to_dict()) == plan
@@ -62,7 +51,6 @@ class TestFleetFaultPlan:
         plan = FaultPlan.load("tests/data/fleet_crash_plan.json")
         assert plan.has_fleet_faults
         assert plan.server_crashes[0].server == 1
-        assert plan.server_slowdowns[0].factor == 0.5
 
     @pytest.mark.parametrize(
         "build",
@@ -70,9 +58,11 @@ class TestFleetFaultPlan:
             lambda: ServerCrash(server=-1, at=1.0),
             lambda: ServerCrash(server=0, at=-0.1),
             lambda: ServerCrash(server=0, at=1.0, restart_at=0.5),
-            lambda: ServerSlowdown(server=0, start=1.0, end=0.5, factor=0.5),
-            lambda: ServerSlowdown(server=0, start=0.0, end=1.0, factor=-1.0),
-            lambda: ServerSlowdown(server=-2, start=0.0, end=1.0, factor=0.5),
+            lambda: ServerCrash(server=0, at=1.0, restart_at=1.0),
+            lambda: FaultPlan(server_crashes=("not-a-crash",)),
+            lambda: FaultPlan.from_dict(
+                {"server_crashes": [{"server": -1, "at": 1.0}]}
+            ),
         ],
     )
     def test_invalid_fleet_faults_rejected(self, build):
@@ -97,11 +87,6 @@ class TestFleetFaultPlan:
         )
         with pytest.raises(ConfigurationError, match="worker-granularity"):
             FleetInjector(fleet, plan).install()
-        # Client deadlines are a single-server fault: the fleet's only
-        # recovery path is crash failover.
-        deadlines_only = FaultPlan(deadlines=(DeadlinePolicy(deadline=0.1),))
-        with pytest.raises(ConfigurationError, match="deadlines"):
-            FleetInjector(fleet, deadlines_only).install()
 
 
 class TestFleetInjectorDispatch:
@@ -121,31 +106,11 @@ class TestFleetInjectorDispatch:
         assert fleet.counts["detections"] == 1
         assert fleet.counts["recoveries"] == 1
 
-    def test_slowdown_stretches_completion(self):
-        # cost 50 at rate 100 normally takes 0.5s; at factor 0.5 for the
-        # whole run it takes 1.0s.
-        sim, fleet = build_fleet(num_servers=1, failover=None)
-        plan = FaultPlan(
-            server_slowdowns=(
-                ServerSlowdown(server=0, start=0.0, end=10.0, factor=0.5),
-            )
-        )
-        injector = FleetInjector(fleet, plan)
-        injector.install()
-        request = Request(tenant_id="a", cost=50.0)
-        fleet.submit(request)
-        sim.run(until=10.0)
-        assert injector.counts["server_slowdowns"] == 1
-        assert request.completion_time == pytest.approx(1.0)
-
     def test_slowed_server_stays_routable(self):
         sim, fleet = build_fleet(num_servers=2, health_interval=0.05)
-        plan = FaultPlan(
-            server_slowdowns=(
-                ServerSlowdown(server=0, start=0.0, end=5.0, factor=0.1),
-            )
-        )
-        FleetInjector(fleet, plan).install()
+        slowed = fleet.servers[0]
+        for worker in slowed.workers:
+            slowed.set_worker_speed(worker.index, 0.1)
         for i in range(4):
             fleet.submit(Request(tenant_id="a", cost=1.0))
         sim.run(until=5.0)

@@ -35,7 +35,7 @@ from repro.core.request import Request
 from repro.estimation.pessimistic import PessimisticEstimator
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_single
-from repro.faults import DeadlinePolicy, FaultPlan
+from repro.faults import FaultPlan, WorkerCrash
 from repro.obs import EVENT_KINDS, TraceEvent, Tracer
 from repro.workloads.synthetic import expensive_requests_population
 
@@ -267,15 +267,17 @@ class TestDisabledTracerContract:
     path).  Its wall-clock cost is held end to end by the benchmark's
     paired parent/change ``wall_s``/``sim_rps`` comparison."""
 
-    #: Half small, half expensive backlogged tenants under a tight
-    #: client deadline, so runs dispatch, refresh-charge and cancel.
+    #: Half small, half expensive backlogged tenants and one worker
+    #: crash, so runs dispatch, refresh-charge and cancel.
     CONFIG = ExperimentConfig(
         name="tracer-contract",
         schedulers=tuple(scheduler_names()),
         num_threads=2,
         thread_rate=1000.0,
         duration=0.5,
-        fault_plan=FaultPlan(deadlines=(DeadlinePolicy(deadline=0.02),)),
+        fault_plan=FaultPlan(
+            crashes=(WorkerCrash(worker=0, at=0.1, restart_at=0.2),)
+        ),
     )
     SPECS = expensive_requests_population(num_small=3, total=6)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import FIFOScheduler, make_scheduler
-from repro.core.request import Request
+from repro.core.request import Request, RequestPhase
 from repro.errors import ConfigurationError
 from repro.simulator import Simulation, ThreadPoolServer
 
@@ -115,6 +115,35 @@ class TestRefreshCharging:
         sim.at(0.0, server.submit, req("A", 5.0))
         sim.run()
         assert done[0].reported_usage == pytest.approx(5.0)
+
+
+class TestAbort:
+    def test_abort_tears_running_request_off_its_worker(self):
+        # The fleet drain's path: a running request is cancelled and the
+        # freed worker picks up the queued one at once.
+        sim, server = build(num_threads=1)
+        hog, nxt = req("A", 5.0), req("B", 1.0)
+        sim.at(0.0, server.submit, hog)
+        sim.at(0.0, server.submit, nxt)
+        aborted = []
+        sim.at(1.1, lambda: aborted.append(server.abort(hog)))
+        sim.run()
+        assert aborted == [True]
+        assert hog.phase == RequestPhase.CANCELLED
+        assert nxt.completion_time == pytest.approx(2.1)
+        assert server.completed_requests == 1
+        assert server.abort(hog) is False  # stale abort
+
+    def test_abort_removes_queued_request(self):
+        sim, server = build(num_threads=1)
+        running, queued = req("A", 1.0), req("B", 1.0)
+        sim.at(0.0, server.submit, running)
+        sim.at(0.0, server.submit, queued)
+        sim.at(0.5, server.abort, queued)
+        sim.run()
+        assert queued.phase == RequestPhase.CANCELLED
+        assert running.completion_time == pytest.approx(1.0)
+        assert server.completed_requests == 1
 
 
 class TestValidation:
